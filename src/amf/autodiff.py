@@ -12,11 +12,18 @@ Design notes that the gradient checks rely on:
   index order.
 - ReLU uses subgradient 0 at x == 0; maxpool ties break to the first element
   in row-major window order.
+- Each op's backward closure reaches its output tensor through a weak
+  reference, so a graph holds no reference cycle and is freed by reference
+  counting as soon as its caller drops the last tensor of it, without
+  waiting for the cyclic garbage collector. ``Tensor.backward`` keeps every
+  node alive while the sweep runs, so the reference is never dead inside a
+  closure.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,7 +48,7 @@ class Tensor:
     visits each node exactly once after all of its consumers.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id", "__weakref__")
 
     def __init__(
         self,
@@ -140,9 +147,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     out_data = (a.data.astype(np.float64) @ b.data.astype(np.float64)).astype(a.dtype)
     out = Tensor(out_data, _parents=(a, b))
+    out_ref = weakref.ref(out)
 
     def _backward():
-        g = out.grad
+        g = out_ref().grad
         if a.requires_grad:
             a._accumulate(g @ b.data.astype(np.float64).T)
         if b.requires_grad:
@@ -157,9 +165,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_bias shapes incompatible: {x.shape} + {b.shape}")
     out = Tensor(x.data + b.data, _parents=(x, b))
+    out_ref = weakref.ref(out)
 
     def _backward():
-        g = out.grad
+        g = out_ref().grad
         if x.requires_grad:
             x._accumulate(g)
         if b.requires_grad:
@@ -201,12 +210,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     acc += bias.data.astype(np.float64)[:, None]
     out = Tensor(np.ascontiguousarray(acc.reshape(f, n, h, wd).transpose(1, 0, 2, 3), dtype=x.dtype),
                  _parents=(x, w, bias))
+    out_ref = weakref.ref(out)
 
     def _backward():
         # g2 is [n*h*w, f]: BLAS kernels for small matrices sum in an order
         # that depends on operand layout, and this one gives the same bits as
         # a sample-major patch matrix at every shape of the reference run
-        g = out.grad.transpose(0, 2, 3, 1)
+        grad = out_ref().grad
+        g = grad.transpose(0, 2, 3, 1)
         g2 = g.reshape(n * h * wd, f)
         if x.requires_grad:
             # patch gradients laid out on the padded grid, output (y, x) at
@@ -226,7 +237,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         if w.requires_grad:
             w._accumulate((g2.T @ cols.T).reshape(f, c, 3, 3))
         if bias.requires_grad:
-            bias._accumulate(out.grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(grad.sum(axis=(0, 2, 3)))
 
     out._backward = _backward
     return out
@@ -234,10 +245,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0), _parents=(x,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if x.requires_grad:
-            x._accumulate(out.grad * (x.data > 0))
+            x._accumulate(out_ref().grad * (x.data > 0))
 
     out._backward = _backward
     return out
@@ -255,6 +267,7 @@ def maxpool2(x: Tensor) -> Tensor:
     pairs = x.data.reshape(-1, 2)
     rows = np.maximum(pairs[:, 0], pairs[:, 1]).reshape(-1, 2, w // 2)
     out = Tensor(np.maximum(rows[:, 0], rows[:, 1]).reshape(n, c, h // 2, w // 2), _parents=(x,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if not x.requires_grad:
@@ -262,7 +275,7 @@ def maxpool2(x: Tensor) -> Tensor:
         # first-tie masks: the lower row or right column wins only when strictly greater
         below = rows[:, 1] > rows[:, 0]
         right = pairs[:, 1] > pairs[:, 0]
-        g = out.grad.reshape(below.shape)
+        g = out_ref().grad.reshape(below.shape)
         grow = np.empty(rows.shape, dtype=np.float64)
         np.multiply(g, ~below, out=grow[:, 0])
         np.multiply(g, below, out=grow[:, 1])
@@ -282,10 +295,11 @@ def flatten(x: Tensor) -> Tensor:
     """Collapse all but the leading (batch) axis."""
     n = x.shape[0]
     out = Tensor(x.data.reshape(n, -1), _parents=(x,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if x.requires_grad:
-            x._accumulate(out.grad.reshape(x.shape))
+            x._accumulate(out_ref().grad.reshape(x.shape))
 
     out._backward = _backward
     return out
@@ -301,11 +315,13 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeError(f"concat batch mismatch: {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=1), _parents=tuple(parts))
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+    out_ref = weakref.ref(out)
 
     def _backward():
+        g = out_ref().grad
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p._accumulate(out.grad[:, lo:hi])
+                p._accumulate(g[:, lo:hi])
 
     out._backward = _backward
     return out
@@ -316,9 +332,10 @@ def scale_rows(m: Tensor, h: Tensor) -> Tensor:
     if h.data.ndim != 2 or h.shape[1] != 1 or h.shape[0] != m.shape[0]:
         raise ShapeError(f"scale_rows shapes incompatible: {m.shape}, {h.shape}")
     out = Tensor(m.data * h.data, _parents=(m, h))
+    out_ref = weakref.ref(out)
 
     def _backward():
-        g = out.grad
+        g = out_ref().grad
         if m.requires_grad:
             m._accumulate(g * h.data)
         if h.requires_grad:
@@ -333,11 +350,12 @@ def slice_cols(x: Tensor, lo: int, hi: int) -> Tensor:
     if x.data.ndim != 2 or not (0 <= lo < hi <= x.shape[1]):
         raise ShapeError(f"bad column slice [{lo}:{hi}] of {x.shape}")
     out = Tensor(x.data[:, lo:hi].copy(), _parents=(x,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if x.requires_grad:
             g = np.zeros(x.shape, dtype=np.float64)
-            g[:, lo:hi] = out.grad
+            g[:, lo:hi] = out_ref().grad
             x._accumulate(g)
 
     out._backward = _backward
@@ -356,10 +374,11 @@ def softmax(logits: Tensor) -> Tensor:
         raise ShapeError(f"softmax expects [N, k], got {logits.shape}")
     p = _softmax64(logits.data)
     out = Tensor(p.astype(logits.dtype), _parents=(logits,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if logits.requires_grad:
-            g = out.grad
+            g = out_ref().grad
             logits._accumulate(p * (g - (g * p).sum(axis=1, keepdims=True)))
 
     out._backward = _backward
@@ -372,6 +391,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ShapeError(f"cross_entropy expects [N, C] logits, got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
+    if n == 0:
+        raise ShapeError("cross_entropy of an empty batch")
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} != ({n},)")
     if labels.min() < 0 or labels.max() >= c:
@@ -381,12 +402,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     loss = (lse - z[np.arange(n), labels]).mean()
     out = Tensor(np.asarray(loss, dtype=np.float64).reshape(()), _parents=(logits,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if logits.requires_grad:
             p = _softmax64(logits.data)
             p[np.arange(n), labels] -= 1.0
-            logits._accumulate(out.grad * p / n)
+            logits._accumulate(out_ref().grad * p / n)
 
     out._backward = _backward
     return out
@@ -394,10 +416,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def mean_all(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.astype(np.float64).mean()).reshape(()), _parents=(x,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if x.requires_grad:
-            x._accumulate(np.full(x.shape, out.grad / x.data.size, dtype=np.float64))
+            x._accumulate(np.full(x.shape, out_ref().grad / x.data.size, dtype=np.float64))
 
     out._backward = _backward
     return out
@@ -405,10 +428,11 @@ def mean_all(x: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.astype(np.float64).sum()).reshape(()), _parents=(x,))
+    out_ref = weakref.ref(out)
 
     def _backward():
         if x.requires_grad:
-            x._accumulate(np.full(x.shape, out.grad, dtype=np.float64))
+            x._accumulate(np.full(x.shape, out_ref().grad, dtype=np.float64))
 
     out._backward = _backward
     return out

@@ -2,7 +2,9 @@
 
 Commands: gen-data, pretrain, train, eval, grad-check.
 Exit codes: 0 success; 1 grad-check failure; 2 bad config; 3 I/O error;
-4 architecture/checkpoint mismatch; 5 non-finite training loss.
+4 corrupt checkpoint or dataset file, or architecture/checkpoint mismatch;
+5 non-finite training loss; 6 data value out of contract (DataError);
+7 invalid tensor shape (ShapeError); 8 API misuse (UsageError).
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ import sys
 from . import config as cfgmod
 from .config import get, group_names_for, load_config, schedules_for
 from .data import dataset_load, dataset_save, gen_mixture, gen_source_task, MixtureSpec
-from .errors import CompatibilityError, ConfigError, FormatError, RunError
+from .errors import (
+    CompatibilityError,
+    ConfigError,
+    DataError,
+    FormatError,
+    RunError,
+    ShapeError,
+    UsageError,
+)
 from .harness import (
     PretrainConfig,
     TrainConfig,
@@ -32,6 +42,9 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MISMATCH = 4
 EXIT_DIVERGED = 5
+EXIT_DATA = 6
+EXIT_SHAPE = 7
+EXIT_USAGE = 8
 
 
 def _mixture_spec(cfg: dict, seed_override: int | None) -> MixtureSpec:
@@ -208,6 +221,15 @@ def main(argv=None) -> int:
     except RunError as e:
         print(f"run error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except DataError as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except ShapeError as e:
+        print(f"shape error: {e}", file=sys.stderr)
+        return EXIT_SHAPE
+    except UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO

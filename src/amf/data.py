@@ -58,6 +58,8 @@ class MixtureSpec:
             raise ConfigError("per-class split counts must be >= 1")
         if self.image_hw < 4 or self.image_hw % 4:
             raise ConfigError("image size must be a positive multiple of 4")
+        if self.channels < 1:
+            raise ConfigError("need at least one channel")
         if self.noise_a < 0 or self.noise_b < 0:
             raise ConfigError("noise std must be >= 0")
 
@@ -197,6 +199,7 @@ def dataset_save(ds: MixtureDataset, path: str) -> None:
 
 
 def dataset_load(path: str) -> MixtureDataset:
+    """Read an AMFDATA1 file; any malformed content raises ``FormatError``."""
     with open(path, "rb") as f:
         blob = f.read()
     pos = 0
@@ -216,14 +219,21 @@ def dataset_load(path: str) -> MixtureDataset:
     (seed,) = struct.unpack("<Q", read(8))
     if h != w:
         raise FormatError("non-square images unsupported")
-    spec = MixtureSpec(k_a=k_a, k_b=k_b, n_train=n_train, n_val=n_val, n_test=n_test,
-                       image_hw=h, channels=c, noise_a=noise_a, noise_b=noise_b, seed=seed)
+    try:
+        spec = MixtureSpec(k_a=k_a, k_b=k_b, n_train=n_train, n_val=n_val, n_test=n_test,
+                           image_hw=h, channels=c, noise_a=noise_a, noise_b=noise_b, seed=seed)
+    except ConfigError as e:
+        raise FormatError(f"bad dataset spec block: {e}") from None
     counts = struct.unpack("<3I", read(12))
     splits = []
     for count in counts:
         exs = []
         for _ in range(count):
             label, mode = struct.unpack("<HB", read(3))
+            if label >= spec.num_classes:
+                raise FormatError(f"label {label} outside [0, {spec.num_classes})")
+            if mode not in (0, 1):
+                raise FormatError(f"mode {mode} is not 0 or 1")
             img = np.frombuffer(read(4 * c * h * w), dtype="<f4").reshape(c, h, w).copy()
             exs.append(Example(img, label, mode))
         splits.append(exs)

@@ -224,7 +224,6 @@ def _train_epochs(model: Model, groups: list[ParamGroup], train_split, val_split
             ))
             # dead-policy watch: one branch hogging all weight at chance accuracy
             if mean_h is not None and report.assignment_overall is not None:
-                chance = 1.0 / len(mean_h)
                 if max(mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
                     saturated_epochs += 1
                 else:

@@ -15,6 +15,7 @@ Parameter naming convention (load-bearing for optimizer groups and transfer):
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -212,13 +213,14 @@ def serialize_params(params: dict[str, np.ndarray]) -> bytes:
 
 
 def deserialize_params(blob: bytes) -> dict[str, np.ndarray]:
+    """Parse an AMFCKPT1 blob; any malformed input raises ``FormatError``."""
     buf = io.BytesIO(blob)
 
     def read(n: int) -> bytes:
-        b = buf.read(n)
-        if len(b) != n:
+        # checked before reading: a corrupt size can exceed what BytesIO accepts
+        if n > len(blob) - buf.tell():
             raise FormatError("truncated checkpoint")
-        return b
+        return buf.read(n)
 
     if read(8) != CKPT_MAGIC:
         raise FormatError("bad checkpoint magic")
@@ -226,12 +228,19 @@ def deserialize_params(blob: bytes) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         nlen = struct.unpack("<H", read(2))[0]
-        name = read(nlen).decode("utf-8")
+        try:
+            name = read(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not valid UTF-8") from None
+        if name in out:
+            raise FormatError(f"duplicate tensor name {name!r}")
         rank = struct.unpack("<B", read(1))[0]
-        dims = struct.unpack(f"<{rank}I", read(4 * rank)) if rank else ()
-        size = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(read(4 * size), dtype="<f4").reshape(dims).copy()
-        out[name] = arr
+        dims = struct.unpack(f"<{rank}I", read(4 * rank))
+        payload = read(4 * math.prod(dims))
+        try:
+            out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError:  # rank beyond what numpy supports
+            raise FormatError(f"tensor {name!r} has unsupported rank {rank}") from None
     if buf.read(1):
         raise FormatError("trailing bytes after checkpoint payload")
     return out

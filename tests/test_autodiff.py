@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from amf import autodiff as ad
 from amf.autodiff import Tensor, grad_check, new_rng
 from amf.errors import DataError, ShapeError, UsageError
+from amf.models import AMFModel
 
 F = st.floats(-10, 10, allow_nan=False, width=32)
 
@@ -66,6 +70,10 @@ class TestCrossEntropy:
     def test_rejects_bad_label_shape(self):
         with pytest.raises(ShapeError):
             ad.cross_entropy(_rand((2, 3)), np.array([0]))
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(ShapeError):
+            ad.cross_entropy(Tensor(np.zeros((0, 3))), np.array([], dtype=np.int64))
 
 
 class TestStructuralOps:
@@ -159,6 +167,31 @@ class TestBackward:
 
         report = grad_check(build, [a, w], eps=1e-6, tol=1e-6)
         assert report["passed"], report
+
+
+class TestGraphLifetime:
+    """A graph is freed by reference counting once its caller drops it, so
+    training memory does not pile up between cyclic GC collections."""
+
+    @staticmethod
+    def _logits_ref(train: bool) -> weakref.ref:
+        model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
+        res = model.forward(_rand((2, 1, 8, 8), dtype=np.float32))
+        if train:
+            loss = ad.cross_entropy(res.logits, np.array([0, 2]))
+            model.zero_grads()
+            loss.backward()
+            # interior gradients stay readable while the caller holds the graph
+            assert res.logits.grad is not None
+        return weakref.ref(res.logits)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["backward", "forward_only"])
+    def test_graph_freed_without_cyclic_gc(self, train):
+        gc.disable()
+        try:
+            assert self._logits_ref(train)() is None
+        finally:
+            gc.enable()
 
 
 class TestTensorCreate:

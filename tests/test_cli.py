@@ -1,15 +1,21 @@
 import os
+import struct
 
 import pytest
 
+from amf import gradsuite
 from amf.cli import (
     EXIT_CONFIG,
+    EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_SHAPE,
+    EXIT_USAGE,
     main,
 )
+from amf.errors import DataError, ShapeError, UsageError
 
 CONFIG = """
 data.k_a = 2
@@ -110,6 +116,25 @@ class TestExitCodes:
         rc = main(["train", "--config", str(cfg),
                    "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
         assert rc == EXIT_DIVERGED
+
+    def test_dataset_label_out_of_range(self, workdir, tmp_path):
+        blob = bytearray((workdir / "data/target.ds").read_bytes())
+        struct.pack_into("<H", blob, 68, 4)  # first label; the config has 4 classes
+        bad = tmp_path / "bad.ds"
+        bad.write_bytes(bytes(blob))
+        rc = main(["train", "--config", str(workdir / "run.cfg"),
+                   "--data", str(bad), "--out", str(tmp_path)])
+        assert rc == EXIT_MISMATCH
+
+    @pytest.mark.parametrize("error, code", [(DataError, EXIT_DATA), (ShapeError, EXIT_SHAPE),
+                                             (UsageError, EXIT_USAGE)])
+    def test_package_errors_map_to_exit_codes(self, monkeypatch, capsys, error, code):
+        def fail(**kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(gradsuite, "run_suite", fail)
+        assert main(["grad-check", "--seeds", "1"]) == code
+        assert "injected" in capsys.readouterr().err
 
     def test_grad_check_ok(self):
         assert main(["grad-check", "--seeds", "3"]) == EXIT_OK

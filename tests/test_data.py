@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from amf.data import (
     MixtureSpec,
@@ -59,6 +61,8 @@ class TestMixture:
             MixtureSpec(image_hw=10)
         with pytest.raises(ConfigError):
             MixtureSpec(noise_a=-0.1)
+        with pytest.raises(ConfigError):
+            MixtureSpec(channels=0)
 
 
 class TestSourceTask:
@@ -138,6 +142,34 @@ class TestDatasetFile:
         open(path, "wb").write(blob + b"\x01")
         with pytest.raises(FormatError):
             dataset_load(path)
+
+
+    # first record: after magic (8), spec block (48) and split counts (12)
+    @pytest.mark.parametrize("offset, value", [(0, SPEC.num_classes), (2, 2)], ids=["label", "mode"])
+    def test_out_of_range_record_rejected(self, tmp_path, offset, value):
+        path = str(tmp_path / "t.ds")
+        dataset_save(gen_mixture(SPEC), path)
+        blob = bytearray(open(path, "rb").read())
+        struct.pack_into("<H" if offset == 0 else "<B", blob, 68 + offset, value)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(FormatError):
+            dataset_load(path)
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+           st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(edits=[(43, 0xBF)], cut=10**6)  # sign byte of noise_a: a negative noise std
+    def test_mutated_file_raises_only_format_error(self, tmp_path, edits, cut):
+        path = str(tmp_path / "t.ds")
+        dataset_save(gen_mixture(replace(SPEC, k_a=1, k_b=1, n_train=1, n_val=1, n_test=1, image_hw=4)), path)
+        blob = bytearray(open(path, "rb").read())
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        open(path, "wb").write(bytes(blob[:cut]))
+        try:
+            dataset_load(path)
+        except FormatError:
+            pass
 
 
 def _write_idx(tmp_path, images, labels):

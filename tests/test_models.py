@@ -1,10 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amf import autodiff as ad
 from amf.autodiff import Tensor, new_rng
 from amf.errors import CompatibilityError, FormatError, UsageError
 from amf.models import (
+    CKPT_MAGIC,
     AMFModel,
     MultiTuneModel,
     SingleModel,
@@ -115,6 +120,38 @@ class TestCheckpoint:
         blob = serialize_params({"w": np.zeros(4, dtype=np.float32)})
         with pytest.raises(FormatError):
             deserialize_params(blob + b"\x00")
+
+    @staticmethod
+    def _record(name: bytes, dims: tuple) -> bytes:
+        return (struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+                + b"\x00" * 4 * int(np.prod(dims)))
+
+    @pytest.mark.parametrize("records", [
+        [(b"\xff\xfe", (2,))],           # name not UTF-8
+        [(b"w", (2,)), (b"w", (3,))],      # duplicate name
+    ], ids=["non_utf8_name", "duplicate_name"])
+    def test_malformed_records_rejected(self, records):
+        blob = CKPT_MAGIC + struct.pack("<I", len(records)) + b"".join(self._record(*r) for r in records)
+        with pytest.raises(FormatError):
+            deserialize_params(blob)
+
+    def test_overflowing_dims_rejected(self):
+        blob = CKPT_MAGIC + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B2I", 2, 2**31, 2**31)
+        with pytest.raises(FormatError):
+            deserialize_params(blob)
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+           st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_blob_raises_only_format_error(self, edits, cut):
+        blob = bytearray(serialize_params({"a.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                           "b": np.float32([1.5])}))
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        try:
+            deserialize_params(bytes(blob[:cut]))
+        except FormatError:
+            pass
 
     def test_load_params_into_name_mismatch(self):
         m = SingleModel(d=8, num_classes=4, image_hw=8)
