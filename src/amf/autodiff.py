@@ -11,7 +11,15 @@ Design notes that the gradient checks rely on:
   Philox counter-based generator, and gaussian fills draw in flat row-major
   index order.
 - ReLU uses subgradient 0 at x == 0; maxpool ties break to the first element
-  in row-major window order.
+  in row-major window order. The models apply ReLU after pooling:
+  relu(max(a, b, c, d)) == max(relu(a), ..., relu(d)), so the values are
+  those of pooling after ReLU, on a tensor 4x smaller, and input gradients
+  differ at most in the sign of zeros in windows with no positive value.
+- ``Tensor._accumulate`` copies an incoming gradient unless the op passes
+  ``owned=True``, which it does only for a fresh C-ordered float64 array that
+  nothing else references (never ``out.grad``, a view of it, or an array
+  captured from the forward pass); the tensor then keeps that array as its
+  ``.grad`` and later accumulations add into it.
 - Each op's backward closure reaches its output tensor through a weak
   reference, so a graph holds no reference cycle and is freed by reference
   counting as soon as its caller drops the last tensor of it, without
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,10 +83,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
         if self.grad is None:
-            # a C-ordered float64 copy, so later adds never write into ``g``
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            # a C-ordered float64 copy, so later adds never write into ``g``,
+            # unless the caller hands over an array nothing else references
+            self.grad = g if owned else np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
@@ -152,9 +161,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def _backward():
         g = out_ref().grad
         if a.requires_grad:
-            a._accumulate(g @ b.data.astype(np.float64).T)
+            a._accumulate(g @ b.data.astype(np.float64).T, owned=True)
         if b.requires_grad:
-            b._accumulate(a.data.astype(np.float64).T @ g)
+            b._accumulate(a.data.astype(np.float64).T @ g, owned=True)
 
     out._backward = _backward
     return out
@@ -172,7 +181,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+            b._accumulate(g.sum(axis=0), owned=True)
 
     out._backward = _backward
     return out
@@ -235,9 +244,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             dxp = dxp.reshape(c, n, h + 2, wd + 2)
             x._accumulate(dxp[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3))
         if w.requires_grad:
-            w._accumulate((g2.T @ cols.T).reshape(f, c, 3, 3))
+            w._accumulate((g2.T @ cols.T).reshape(f, c, 3, 3), owned=True)
         if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
 
     out._backward = _backward
     return out
@@ -249,7 +258,7 @@ def relu(x: Tensor) -> Tensor:
 
     def _backward():
         if x.requires_grad:
-            x._accumulate(out_ref().grad * (x.data > 0))
+            x._accumulate(out_ref().grad * (x.data > 0), owned=True)
 
     out._backward = _backward
     return out
@@ -285,7 +294,7 @@ def maxpool2(x: Tensor) -> Tensor:
         np.multiply(grow, ~right, out=dpairs[:, 0])
         np.multiply(grow, right, out=dpairs[:, 1])
         dx += 0.0  # masked-out -0.0 becomes +0.0, as in a zero-filled scatter
-        x._accumulate(dx)
+        x._accumulate(dx, owned=True)
 
     out._backward = _backward
     return out
@@ -414,18 +423,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return out
 
 
-def mean_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.astype(np.float64).mean()).reshape(()), _parents=(x,))
-    out_ref = weakref.ref(out)
-
-    def _backward():
-        if x.requires_grad:
-            x._accumulate(np.full(x.shape, out_ref().grad / x.data.size, dtype=np.float64))
-
-    out._backward = _backward
-    return out
-
-
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.asarray(x.data.astype(np.float64).sum()).reshape(()), _parents=(x,))
     out_ref = weakref.ref(out)
@@ -437,40 +434,3 @@ def sum_all(x: Tensor) -> Tensor:
     out._backward = _backward
     return out
 
-
-def grad_check(
-    build_loss: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    eps: float = 1e-5,
-    tol: float = 1e-4,
-) -> dict:
-    """Central finite differences vs analytic gradients.
-
-    ``build_loss`` must rebuild the graph from the current parameter values on
-    every call. Reports the max relative error over all parameter coordinates:
-    |a - n| / max(|a|, |n|, 1e-8).
-    """
-    if eps <= 0:
-        raise UsageError("eps must be > 0")
-    params = list(params)
-    loss = build_loss()
-    for p in params:
-        p.zero_grad()
-    loss.backward()
-    analytic = [np.array(p.grad if p.grad is not None else np.zeros(p.shape)) for p in params]
-
-    max_rel = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(build_loss().data)
-            flat[i] = orig - eps
-            f_minus = float(build_loss().data)
-            flat[i] = orig
-            num = (f_plus - f_minus) / (2 * eps)
-            an = a.reshape(-1)[i]
-            rel = abs(an - num) / max(abs(an), abs(num), 1e-8)
-            max_rel = max(max_rel, rel)
-    return {"max_rel_err": max_rel, "passed": max_rel < tol, "tol": tol}

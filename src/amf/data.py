@@ -225,6 +225,9 @@ def dataset_load(path: str) -> MixtureDataset:
     except ConfigError as e:
         raise FormatError(f"bad dataset spec block: {e}") from None
     counts = struct.unpack("<3I", read(12))
+    expected = tuple(spec.num_classes * k for k in (n_train, n_val, n_test))
+    if counts != expected:
+        raise FormatError(f"split counts {counts} do not match the spec block's {expected}")
     splits = []
     for count in counts:
         exs = []

@@ -157,19 +157,6 @@ def weighting_trace(model: Model, split, batch_size: int = 64) -> list[float]:
     return evaluate(model, split, batch_size).mean_h
 
 
-def export_latents(model: Model, split, path: str, batch_size: int = 64) -> None:
-    """CSV of fused pre-classifier features plus label and mode, one row per sample."""
-    width = model.params["classifier.w"].shape[0]
-    lines = [",".join([f"f{i}" for i in range(width)] + ["label", "mode"])]
-    for res, labels, modes in _forward_split(model, split, batch_size):
-        for row, lab, mode in zip(res.fused.data, labels, modes):
-            lines.append(",".join(f"{v:.6g}" for v in row) + f",{lab},{mode}")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
 def _fmt(v) -> str:
     return "" if v is None else f"{v:.6g}"
 
@@ -262,7 +249,7 @@ class PolicyPretrainModel(Model):
     def forward(self, x: Tensor):
         from .models import ForwardResult
 
-        h = ad.maxpool2(ad.relu(ad.conv2d(x, self.params["policy.conv.w"], self.params["policy.conv.b"])))
+        h = ad.relu(ad.maxpool2(ad.conv2d(x, self.params["policy.conv.w"], self.params["policy.conv.b"])))
         fused = ad.flatten(h)
         logits, probs = self._classify(fused)
         return ForwardResult(probs=probs, logits=logits, fused=fused)

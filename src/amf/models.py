@@ -83,8 +83,8 @@ class Model:
 
     def _branch_forward(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
-        h = ad.maxpool2(ad.relu(ad.conv2d(x, p[f"{prefix}.conv1.w"], p[f"{prefix}.conv1.b"])))
-        h = ad.maxpool2(ad.relu(ad.conv2d(h, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"])))
+        h = ad.relu(ad.maxpool2(ad.conv2d(x, p[f"{prefix}.conv1.w"], p[f"{prefix}.conv1.b"])))
+        h = ad.relu(ad.maxpool2(ad.conv2d(h, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"])))
         return ad.relu(ad.add_bias(ad.matmul(ad.flatten(h), p[f"{prefix}.head.w"]), p[f"{prefix}.head.b"]))
 
     def _init_classifier(self, in_width: int, seed: int) -> None:
@@ -166,7 +166,7 @@ class AMFModel(Model):
 
     def policy_logits(self, x: Tensor) -> Tensor:
         p = self.params
-        h = ad.maxpool2(ad.relu(ad.conv2d(x, p["policy.conv.w"], p["policy.conv.b"])))
+        h = ad.relu(ad.maxpool2(ad.conv2d(x, p["policy.conv.w"], p["policy.conv.b"])))
         return ad.add_bias(ad.matmul(ad.flatten(h), p["policy.head.w"]), p["policy.head.b"])
 
     def forward(self, x: Tensor) -> ForwardResult:

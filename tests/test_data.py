@@ -113,13 +113,15 @@ class TestBatches:
 
 
 class TestDatasetFile:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        ds = gen_mixture(SPEC)
+    @pytest.mark.parametrize("gen", [gen_mixture, lambda s: gen_source_task(s, seed=5)], ids=["mixture", "source"])
+    def test_roundtrip_bit_exact(self, tmp_path, gen):
+        ds = gen(SPEC)
         path = str(tmp_path / "t.ds")
         dataset_save(ds, path)
         back = dataset_load(path)
         assert back.spec.num_classes == ds.spec.num_classes
         for split in ("train", "val", "test"):
+            assert len(back.split(split)) == len(ds.split(split))
             for ea, eb in zip(ds.split(split), back.split(split)):
                 assert (ea.label, ea.mode) == (eb.label, eb.mode)
                 np.testing.assert_array_equal(ea.image, eb.image)
@@ -155,10 +157,23 @@ class TestDatasetFile:
         with pytest.raises(FormatError):
             dataset_load(path)
 
+    # the file stays self-consistent; only the spec block's counts disagree
+    @pytest.mark.parametrize("split, keep", [("train", -1), ("val", -1), ("test", -1), ("test", 0)],
+                             ids=["train", "val", "test", "empty_test"])
+    def test_split_count_mismatch_rejected(self, tmp_path, split, keep):
+        ds = gen_mixture(SPEC)
+        setattr(ds, split, ds.split(split)[:keep])
+        path = str(tmp_path / "t.ds")
+        dataset_save(ds, path)
+        with pytest.raises(FormatError):
+            dataset_load(path)
+
     @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
            st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(edits=[(43, 0xBF)], cut=10**6)  # sign byte of noise_a: a negative noise std
+    # test count 2 -> 0 and its two 67-byte records cut off: an empty test split
+    @example(edits=[(64, 0)], cut=470 - 2 * 67)
     def test_mutated_file_raises_only_format_error(self, tmp_path, edits, cut):
         path = str(tmp_path / "t.ds")
         dataset_save(gen_mixture(replace(SPEC, k_a=1, k_b=1, n_train=1, n_val=1, n_test=1, image_hw=4)), path)
@@ -167,9 +182,11 @@ class TestDatasetFile:
             blob[pos % len(blob)] = value
         open(path, "wb").write(bytes(blob[:cut]))
         try:
-            dataset_load(path)
+            ds = dataset_load(path)
         except FormatError:
-            pass
+            return
+        s = ds.spec
+        assert [len(ds.train), len(ds.val), len(ds.test)] == [s.num_classes * k for k in (s.n_train, s.n_val, s.n_test)]
 
 
 def _write_idx(tmp_path, images, labels):

@@ -102,6 +102,26 @@ class TestHeavyBall:
         sgd_step(stub, state, [group])
         assert stub.params["w"].data[0] == -1.5
 
+    def test_zero_gradient_sign_does_not_change_bits(self):
+        # velocity starts at +0.0 and +0.0 + -0.0 == +0.0, so a -0.0 and a
+        # +0.0 gradient leave the same parameter and velocity bits, whether
+        # the velocity is still zero or already carries earlier steps
+        w0 = np.array([0.5, -0.25, 0.0, 1.5, -2.0, 0.0], dtype=np.float32)
+        warm = np.array([1.0, -1.0, 0.0, 0.0, -3.0, 2.0])
+        zero = np.zeros(6)
+        for first in ([], [warm]):
+            runs = []
+            for sign in (1.0, -1.0):
+                stub = _Stub(w=w0.copy())
+                state = OptimizerState(stub)
+                group = ParamGroup("all", ["w"], ScheduleSpec(0.1), momentum=0.9)
+                for g in first + [sign * zero, sign * zero]:
+                    stub.params["w"].grad = g.copy()
+                    sgd_step(stub, state, [group])
+                runs.append((stub.params["w"].data.tobytes(), state.velocity["w"].tobytes()))
+            assert np.signbit(-1.0 * zero).all()
+            assert runs[0] == runs[1]
+
 
 class TestGroups:
     def test_amf_group_layout_covers_all_params(self):
