@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,38 @@ class Example:
     image: np.ndarray  # [C, H, W] float32 in [0, 1]
     label: int
     mode: int
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """One dataset split held as arrays: ``images`` [N, C, H, W] float32,
+    ``labels`` and ``modes`` [N] int64.
+
+    Supports ``len``, iteration (one ``Example`` per row, its image a view)
+    and slicing, which returns a ``Split`` of views.
+    """
+
+    images: np.ndarray
+    labels: np.ndarray
+    modes: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.images)
+        if self.images.ndim != 4 or len(self.labels) != n or len(self.modes) != n:
+            raise UsageError(f"split arrays disagree: images {self.images.shape}, "
+                             f"{len(self.labels)} labels, {len(self.modes)} modes")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        for image, label, mode in zip(self.images, self.labels.tolist(), self.modes.tolist()):
+            yield Example(image, label, mode)
+
+    def __getitem__(self, key: slice) -> Split:
+        if not isinstance(key, slice):
+            raise TypeError("a Split supports slicing only")
+        return Split(self.images[key], self.labels[key], self.modes[key])
 
 
 @dataclass(frozen=True)
@@ -71,11 +103,11 @@ class MixtureSpec:
 @dataclass
 class MixtureDataset:
     spec: MixtureSpec
-    train: list[Example] = field(default_factory=list)
-    val: list[Example] = field(default_factory=list)
-    test: list[Example] = field(default_factory=list)
+    train: Split
+    val: Split
+    test: Split
 
-    def split(self, name: str) -> list[Example]:
+    def split(self, name: str) -> Split:
         if name not in ("train", "val", "test"):
             raise UsageError(f"unknown split {name!r}")
         return getattr(self, name)
@@ -96,40 +128,41 @@ def _grating_image(hw: int, period: float) -> np.ndarray:
     return np.where(s > 0, 0.75, 0.25)
 
 
-def _noisy(base: np.ndarray, std: float, channels: int, rng) -> np.ndarray:
-    img = np.broadcast_to(base, (channels,) + base.shape).copy()
-    if std > 0:
-        img = img + rng.normal(0.0, std, size=img.shape)
-    return np.clip(img, 0.0, 1.0).astype(np.float32)
-
-
-def _gen_split(spec: MixtureSpec, count: int, rng, grating_periods=None) -> list[Example]:
-    """One split: every (mode, class) pair gets exactly ``count`` examples.
-
-    Generation order is fixed (mode, then class, then example index) so the
-    Philox draw sequence, and therefore the dataset, is seed-deterministic.
-    """
-    out: list[Example] = []
-    for c in range(spec.k_a):
-        base = _bar_image(spec.image_hw, np.pi * c / max(spec.k_a, 1))
-        for _ in range(count):
-            out.append(Example(_noisy(base, spec.noise_a, spec.channels, rng), c, 0))
+def _class_bases(spec: MixtureSpec, grating_periods=None) -> list[tuple]:
+    """(clean image, noise std, label, mode) per class, in label order."""
+    out = [(_bar_image(spec.image_hw, np.pi * c / max(spec.k_a, 1)), spec.noise_a, c, 0)
+           for c in range(spec.k_a)]
     for c in range(spec.k_b):
         period = grating_periods[c] if grating_periods is not None else 2 + c
-        base = _grating_image(spec.image_hw, period)
-        for _ in range(count):
-            out.append(Example(_noisy(base, spec.noise_b, spec.channels, rng), spec.k_a + c, 1))
+        out.append((_grating_image(spec.image_hw, period), spec.noise_b, spec.k_a + c, 1))
     return out
 
 
-def gen_mixture(spec: MixtureSpec) -> MixtureDataset:
+def _gen_split(spec: MixtureSpec, bases: list[tuple], count: int, rng) -> Split:
+    """One split: every class gets exactly ``count`` examples.
+
+    Generation order is fixed (class, then example index) so the Philox draw
+    sequence, and therefore the dataset, is seed-deterministic. One draw of
+    ``count`` images reads the same stream as ``count`` draws of one image.
+    """
+    shape = (count, spec.channels, spec.image_hw, spec.image_hw)
+    images = np.empty((len(bases) * count,) + shape[1:], dtype=np.float32)
+    for i, (base, std, _, _) in enumerate(bases):
+        block = base + rng.normal(0.0, std, size=shape) if std > 0 else np.broadcast_to(base, shape)
+        images[i * count : (i + 1) * count] = np.clip(block, 0.0, 1.0)
+    labels = np.repeat(np.array([b[2] for b in bases], dtype=np.int64), count)
+    modes = np.repeat(np.array([b[3] for b in bases], dtype=np.int64), count)
+    return Split(images, labels, modes)
+
+
+def _gen_dataset(spec: MixtureSpec, bases: list[tuple]) -> MixtureDataset:
     rng = new_rng(spec.seed)
-    return MixtureDataset(
-        spec=spec,
-        train=_gen_split(spec, spec.n_train, rng),
-        val=_gen_split(spec, spec.n_val, rng),
-        test=_gen_split(spec, spec.n_test, rng),
-    )
+    train, val, test = (_gen_split(spec, bases, k, rng) for k in (spec.n_train, spec.n_val, spec.n_test))
+    return MixtureDataset(spec=spec, train=train, val=val, test=test)
+
+
+def gen_mixture(spec: MixtureSpec) -> MixtureDataset:
+    return _gen_dataset(spec, _class_bases(spec))
 
 
 SOURCE_PERIOD_BASE = 10
@@ -148,16 +181,10 @@ def gen_source_task(spec: MixtureSpec, seed: int, k_src: int = 6,
         raise ConfigError("target grating periods would overlap the source task's")
     src_spec = replace(spec, k_a=0, k_b=k_src, noise_b=noise, seed=seed)
     periods = [SOURCE_PERIOD_BASE + c for c in range(k_src)]
-    rng = new_rng(seed)
-    return MixtureDataset(
-        spec=src_spec,
-        train=_gen_split(src_spec, src_spec.n_train, rng, grating_periods=periods),
-        val=_gen_split(src_spec, src_spec.n_val, rng, grating_periods=periods),
-        test=_gen_split(src_spec, src_spec.n_test, rng, grating_periods=periods),
-    )
+    return _gen_dataset(src_spec, _class_bases(src_spec, periods))
 
 
-def batches(split: list[Example], batch_size: int, epoch_seed: int, shuffle: bool = True):
+def batches(split: Split, batch_size: int, epoch_seed: int, shuffle: bool = True):
     """Yield (images [N,C,H,W], labels, modes) with a seeded per-epoch order."""
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
@@ -168,10 +195,7 @@ def batches(split: list[Example], batch_size: int, epoch_seed: int, shuffle: boo
         order = new_rng(epoch_seed).permutation(order)
     for lo in range(0, len(split), batch_size):
         idx = order[lo : lo + batch_size]
-        images = np.stack([split[i].image for i in idx])
-        labels = np.array([split[i].label for i in idx], dtype=np.int64)
-        modes = np.array([split[i].mode for i in idx], dtype=np.int64)
-        yield images, labels, modes
+        yield split.images[idx], split.labels[idx], split.modes[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +205,46 @@ def batches(split: list[Example], batch_size: int, epoch_seed: int, shuffle: boo
 #               f32 noise_a, noise_b; u64 seed
 #   u32 train count, u32 val count, u32 test count
 #   per example: u16 label, u8 mode, f32 pixels row-major [C, H, W]
+# A noise value is stored as f32 and loaded back as the shortest decimal
+# that rounds to it, so only values equal to that decimal can be saved.
 # ---------------------------------------------------------------------------
+
+_HEADER = struct.Struct("<8s8I2fQ3I")  # magic, spec block, split counts
+
+
+def _record_dtype(c: int, h: int, w: int) -> np.dtype:
+    return np.dtype([("label", "<u2"), ("mode", "u1"), ("image", "<f4", (c, h, w))])
+
+
+def _decode_noise(v: float) -> float:
+    return float(str(np.float32(v)))
+
 
 def dataset_save(ds: MixtureDataset, path: str) -> None:
     s = ds.spec
-    parts = [DATA_MAGIC]
-    parts.append(struct.pack("<8I2fQ", s.k_a, s.k_b, s.n_train, s.n_val, s.n_test,
-                             s.image_hw, s.image_hw, s.channels, s.noise_a, s.noise_b, s.seed))
-    parts.append(struct.pack("<3I", len(ds.train), len(ds.val), len(ds.test)))
-    for ex in ds.train + ds.val + ds.test:
-        parts.append(struct.pack("<HB", ex.label, ex.mode))
-        parts.append(np.ascontiguousarray(ex.image, dtype="<f4").tobytes())
+    for name in ("noise_a", "noise_b"):
+        v = getattr(s, name)
+        if _decode_noise(v) != v:
+            raise UsageError(f"{name}={v!r} is stored as f32 and would load back as "
+                             f"{_decode_noise(v)!r}")
+    splits = (ds.train, ds.val, ds.test)
+    dtype = _record_dtype(s.channels, s.image_hw, s.image_hw)
+    if any(sp.images.shape[1:] != dtype["image"].shape for sp in splits):
+        raise UsageError(f"image shapes do not match the spec's {dtype['image'].shape}")
+    labels = np.concatenate([sp.labels for sp in splits])
+    modes = np.concatenate([sp.modes for sp in splits])
+    if ((labels < 0) | (labels >= s.num_classes) | (modes < 0) | (modes > 1)).any():
+        raise UsageError(f"a label is outside [0, {s.num_classes}) or a mode is not 0 or 1")
+    records = np.empty(len(labels), dtype=dtype)
+    records["label"], records["mode"] = labels, modes
+    np.concatenate([sp.images for sp in splits], out=records["image"])
+    header = _HEADER.pack(
+        DATA_MAGIC, s.k_a, s.k_b, s.n_train, s.n_val, s.n_test, s.image_hw, s.image_hw,
+        s.channels, s.noise_a, s.noise_b, s.seed, *(len(sp) for sp in splits))
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(header)
+        f.write(records.data)
     os.replace(tmp, path)
 
 
@@ -202,47 +252,42 @@ def dataset_load(path: str) -> MixtureDataset:
     """Read an AMFDATA1 file; any malformed content raises ``FormatError``."""
     with open(path, "rb") as f:
         blob = f.read()
-    pos = 0
-
-    def read(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FormatError("truncated dataset file")
-        b = blob[pos : pos + n]
-        pos += n
-        return b
-
-    if read(8) != DATA_MAGIC:
+    if blob[:8] != DATA_MAGIC:
         raise FormatError("bad dataset magic")
-    k_a, k_b, n_train, n_val, n_test, h, w, c = struct.unpack("<8I", read(32))
-    noise_a, noise_b = struct.unpack("<2f", read(8))
-    (seed,) = struct.unpack("<Q", read(8))
+    if len(blob) < _HEADER.size:
+        raise FormatError("truncated dataset file")
+    _, k_a, k_b, n_train, n_val, n_test, h, w, c, noise_a, noise_b, seed, *counts = _HEADER.unpack_from(blob)
     if h != w:
         raise FormatError("non-square images unsupported")
     try:
         spec = MixtureSpec(k_a=k_a, k_b=k_b, n_train=n_train, n_val=n_val, n_test=n_test,
-                           image_hw=h, channels=c, noise_a=noise_a, noise_b=noise_b, seed=seed)
+                           image_hw=h, channels=c, noise_a=_decode_noise(noise_a),
+                           noise_b=_decode_noise(noise_b), seed=seed)
     except ConfigError as e:
         raise FormatError(f"bad dataset spec block: {e}") from None
-    counts = struct.unpack("<3I", read(12))
+    counts = tuple(counts)
     expected = tuple(spec.num_classes * k for k in (n_train, n_val, n_test))
     if counts != expected:
         raise FormatError(f"split counts {counts} do not match the spec block's {expected}")
-    splits = []
-    for count in counts:
-        exs = []
-        for _ in range(count):
-            label, mode = struct.unpack("<HB", read(3))
-            if label >= spec.num_classes:
-                raise FormatError(f"label {label} outside [0, {spec.num_classes})")
-            if mode not in (0, 1):
-                raise FormatError(f"mode {mode} is not 0 or 1")
-            img = np.frombuffer(read(4 * c * h * w), dtype="<f4").reshape(c, h, w).copy()
-            exs.append(Example(img, label, mode))
-        splits.append(exs)
-    if pos != len(blob):
+    # every count is >= 1 here, so a payload of the right length bounds the
+    # record size by the file size before any array is built
+    payload = len(blob) - _HEADER.size
+    need = sum(counts) * (3 + 4 * c * h * w)
+    if payload < need:
+        raise FormatError("truncated dataset file")
+    if payload > need:
         raise FormatError("trailing bytes after dataset payload")
-    return MixtureDataset(spec=spec, train=splits[0], val=splits[1], test=splits[2])
+    records = np.frombuffer(blob, dtype=_record_dtype(c, h, w), offset=_HEADER.size)
+    labels = records["label"].astype(np.int64)
+    modes = records["mode"].astype(np.int64)
+    if (labels >= spec.num_classes).any():
+        raise FormatError(f"label {labels.max()} outside [0, {spec.num_classes})")
+    if (modes > 1).any():
+        raise FormatError(f"mode {modes.max()} is not 0 or 1")
+    images = records["image"].astype(np.float32)
+    bounds = np.cumsum((0,) + counts)
+    train, val, test = (Split(images[a:b], labels[a:b], modes[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return MixtureDataset(spec=spec, train=train, val=val, test=test)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +295,7 @@ def dataset_load(path: str) -> MixtureDataset:
 # ---------------------------------------------------------------------------
 
 def load_idx(images_path: str, labels_path: str, limit: int | None = None,
-             mode_rule: str = "parity") -> list[Example]:
+             mode_rule: str = "parity") -> Split:
     """Load an IDX image/label pair; pixels scaled to [0, 1] by /255.
 
     ``mode_rule``: "parity" assigns mode = label % 2, "single" assigns mode 0.
@@ -276,8 +321,6 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None,
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
-    out = []
-    for img, lab in zip(images, labels):
-        mode = int(lab) % 2 if mode_rule == "parity" else 0
-        out.append(Example((img / 255.0).astype(np.float32), int(lab), mode))
-    return out
+    labels = labels.astype(np.int64)
+    modes = labels % 2 if mode_rule == "parity" else np.zeros_like(labels)
+    return Split((images / 255.0).astype(np.float32), labels, modes)

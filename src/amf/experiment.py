@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import MixtureSpec, gen_mixture, gen_source_task
 from .harness import EvalReport, PretrainConfig, TrainConfig, evaluate, pretrain, train
+from .models import load_params_into
 from .optim import ScheduleSpec
 
 LOW_LR = 0.003
@@ -86,11 +87,6 @@ class ExperimentResult:
         return self.mean(lambda r: r.amf.assignment_overall)
 
 
-def _restore_best(model, best_params) -> None:
-    for name, values in best_params.items():
-        model.params[name].data = values.astype(model.params[name].dtype)
-
-
 def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
     spec = replace(config.mixture, seed=seed)
     target = gen_mixture(spec)
@@ -104,7 +100,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
                       schedules=amf_schedules(), batch_size=config.batch_size,
                       epochs=config.amf_epochs, seed_init=seed, seed_data=seed)
     model, trace, best = train(cfg, target, ckpt)
-    _restore_best(model, best)
+    load_params_into(model, best)
     amf_report = evaluate(model, target.test)
     epoch0 = list(trace.records[0].mean_h)
 
@@ -116,7 +112,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
                            batch_size=config.batch_size, epochs=config.baseline_epochs,
                            seed_init=seed, seed_data=seed)
         bmodel, _, bbest = train(bcfg, target, ckpt)
-        _restore_best(bmodel, bbest)
+        load_params_into(bmodel, bbest)
         baselines[name] = evaluate(bmodel, target.test)
 
     result = SeedResult(seed=seed, source_val=report["backbone_val"], amf=amf_report,

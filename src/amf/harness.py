@@ -79,35 +79,35 @@ class MonitorTrace:
         return max(r.val_top1_overall for r in self.records)
 
 
+MAX_MATCH_BRANCHES = 8
+
+
 def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, tuple]:
     """Per-mode assignment accuracy under the best branch-to-mode matching.
 
     A sample is assigned to branch argmax h (ties -> lowest index). The
-    branch-mode correspondence is the bijection maximizing overall accuracy;
-    it is returned so callers can report it.
+    branch-mode correspondence is the bijection maximizing overall accuracy
+    (the first in ``itertools.permutations`` order among equals); it is
+    returned so callers can report it. All n! bijections are scored from one
+    n x n confusion matrix, so n above ``MAX_MATCH_BRANCHES`` raises
+    ``UsageError``.
     """
     h = np.asarray(h)
     modes = np.asarray(modes)
     n = h.shape[1]
-    mode_ids = sorted(set(int(m) for m in modes))
+    mode_ids, mode_idx = np.unique(modes, return_inverse=True)
     if n != len(mode_ids):
         raise UsageError(f"branch count {n} != mode count {len(mode_ids)}")
-    assigned = h.argmax(axis=1)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        # perm[k] = branch matched to mode_ids[k]
-        correct = 0
-        for k, m in enumerate(mode_ids):
-            correct += int(((modes == m) & (assigned == perm[k])).sum())
-        acc = correct / len(modes)
-        if best is None or acc > best[0]:
-            best = (acc, perm)
-    overall, perm = best
-    per_mode = {}
-    for k, m in enumerate(mode_ids):
-        mask = modes == m
-        per_mode[m] = float((assigned[mask] == perm[k]).mean())
-    return per_mode, overall, perm
+    if n > MAX_MATCH_BRANCHES:
+        raise UsageError(f"assignment matching supports at most {MAX_MATCH_BRANCHES} branches, got {n}")
+    # confusion[k, b]: samples of mode_ids[k] assigned to branch b
+    confusion = np.bincount(mode_idx * n + h.argmax(axis=1), minlength=n * n).reshape(n, n).tolist()
+    # perm[k] = branch matched to mode_ids[k]; max keeps the first of equals
+    def hits(perm):
+        return sum(confusion[k][b] for k, b in enumerate(perm))
+    perm = max(itertools.permutations(range(n)), key=hits)
+    per_mode = {int(m): confusion[k][perm[k]] / sum(confusion[k]) for k, m in enumerate(mode_ids)}
+    return per_mode, hits(perm) / len(modes), perm
 
 
 def _forward_split(model: Model, split, batch_size: int = 64):

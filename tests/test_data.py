@@ -1,3 +1,4 @@
+import os
 import struct
 from dataclasses import replace
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from amf.autodiff import new_rng
 from amf.data import (
     MixtureSpec,
     SOURCE_PERIOD_BASE,
+    Split,
     batches,
     dataset_load,
     dataset_save,
@@ -18,8 +21,46 @@ from amf.data import (
 )
 from amf.errors import ConfigError, FormatError, UsageError
 
+from conftest import TINY_SPEC
+
 SPEC = MixtureSpec(k_a=3, k_b=2, n_train=4, n_val=2, n_test=2, image_hw=8,
                    noise_a=0.3, noise_b=0.2, seed=11)
+
+
+def _assert_splits_equal(a: Split, b: Split) -> None:
+    for name in ("images", "labels", "modes"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+class TestSplit:
+    def test_len_and_rows(self):
+        split = gen_mixture(SPEC).train
+        assert len(split) == len(split.images) == SPEC.num_classes * SPEC.n_train
+        rows = list(split)
+        assert len(rows) == len(split)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(row.image, split.images[i])
+            assert (row.label, row.mode) == (split.labels[i], split.modes[i])
+            assert type(row.label) is int and type(row.mode) is int
+
+    def test_slicing_returns_a_split(self):
+        split = gen_mixture(SPEC).train
+        part = split[3:11:2]
+        assert isinstance(part, Split) and len(part) == 4
+        np.testing.assert_array_equal(part.images, split.images[3:11:2])
+        np.testing.assert_array_equal(part.labels, split.labels[3:11:2])
+        assert len(split[:0]) == 0 and not split[:0]
+        with pytest.raises(TypeError):
+            split[0]
+
+    def test_mismatched_arrays_rejected(self):
+        split = gen_mixture(SPEC).train
+        with pytest.raises(UsageError):
+            Split(split.images, split.labels[:-1], split.modes)
+        with pytest.raises(UsageError):
+            Split(split.images[:, 0], split.labels, split.modes)
 
 
 class TestMixture:
@@ -38,8 +79,8 @@ class TestMixture:
 
     def test_seed_determinism(self):
         a, b = gen_mixture(SPEC), gen_mixture(SPEC)
-        for ea, eb in zip(a.train + a.val + a.test, b.train + b.val + b.test):
-            np.testing.assert_array_equal(ea.image, eb.image)
+        for name in ("train", "val", "test"):
+            _assert_splits_equal(a.split(name), b.split(name))
 
     def test_different_seeds_differ(self):
         a = gen_mixture(SPEC)
@@ -109,7 +150,19 @@ class TestBatches:
         with pytest.raises(UsageError):
             list(batches(ds.train, 0, 0))
         with pytest.raises(UsageError):
-            list(batches([], 4, 0))
+            list(batches(ds.train[:0], 4, 0))
+
+    def test_matches_stacked_rows(self):
+        split = gen_mixture(SPEC).train
+        rows = list(split)
+        order = new_rng(2).permutation(len(split))
+        for b, (images, labels, modes) in enumerate(batches(split, 7, epoch_seed=2)):
+            picked = [rows[i] for i in order[b * 7 : (b + 1) * 7]]
+            assert images.dtype == np.float32 and labels.dtype == modes.dtype == np.int64
+            np.testing.assert_array_equal(images, np.stack([r.image for r in picked]))
+            np.testing.assert_array_equal(labels, [r.label for r in picked])
+            np.testing.assert_array_equal(modes, [r.mode for r in picked])
+        assert b == (len(split) - 1) // 7
 
 
 class TestDatasetFile:
@@ -118,12 +171,9 @@ class TestDatasetFile:
             path = str(tmp_path / "t.ds")
             dataset_save(ds, path)
             back = dataset_load(path)
-            assert back.spec.num_classes == ds.spec.num_classes
+            assert back.spec == ds.spec
             for split in ("train", "val", "test"):
-                assert len(back.split(split)) == len(ds.split(split))
-                for ea, eb in zip(ds.split(split), back.split(split)):
-                    assert (ea.label, ea.mode) == (eb.label, eb.mode)
-                    np.testing.assert_array_equal(ea.image, eb.image)
+                _assert_splits_equal(back.split(split), ds.split(split))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "t.ds")
@@ -144,6 +194,48 @@ class TestDatasetFile:
         with pytest.raises(FormatError):
             dataset_load(path)
 
+    # noise values are stored as f32; the loaded spec must still regenerate the file
+    @pytest.mark.parametrize("spec", [MixtureSpec(), TINY_SPEC], ids=["default", "tiny"])
+    def test_loaded_spec_regenerates_the_file(self, tmp_path, spec):
+        path = str(tmp_path / "t.ds")
+        dataset_save(gen_mixture(spec), path)
+        back = dataset_load(path)
+        assert back.spec == spec
+        again = gen_mixture(back.spec)
+        for split in ("train", "val", "test"):
+            _assert_splits_equal(again.split(split), back.split(split))
+
+    def test_source_spec_roundtrip(self, tmp_path):
+        ds = gen_source_task(MixtureSpec(), seed=1000)
+        path = str(tmp_path / "t.ds")
+        dataset_save(ds, path)
+        assert dataset_load(path).spec == ds.spec
+
+    def test_noise_that_would_not_load_back_rejected(self, tmp_path):
+        path = str(tmp_path / "t.ds")
+        with pytest.raises(UsageError):
+            dataset_save(gen_mixture(replace(SPEC, noise_a=0.1 + 0.2)), path)
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("field, value", [("labels", SPEC.num_classes), ("modes", 2)])
+    def test_record_that_would_not_load_rejected(self, tmp_path, field, value):
+        ds = gen_mixture(SPEC)
+        getattr(ds.val, field)[0] = value
+        with pytest.raises(UsageError):
+            dataset_save(ds, str(tmp_path / "t.ds"))
+
+    # header fields: u32 at 8 + 4*i for k_a, k_b, n_train, n_val, n_test, H, W, C
+    @pytest.mark.parametrize("fields", [{36: 2**32 - 1}, {28: 2**16, 32: 2**16}, {28: 2**30, 32: 2**30}],
+                             ids=["channels", "hw_2^16", "hw_2^30"])
+    def test_record_larger_than_file_rejected(self, tmp_path, fields):
+        path = str(tmp_path / "t.ds")
+        dataset_save(gen_mixture(SPEC), path)
+        blob = bytearray(open(path, "rb").read())
+        for offset, value in fields.items():
+            struct.pack_into("<I", blob, offset, value)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(FormatError):
+            dataset_load(path)
 
     # first record: after magic (8), spec block (48) and split counts (12)
     @pytest.mark.parametrize("offset, value", [(0, SPEC.num_classes), (2, 2)], ids=["label", "mode"])
@@ -208,7 +300,7 @@ class TestIdx:
         ipath, lpath = _write_idx(tmp_path, images, labels)
         exs = load_idx(ipath, lpath)
         assert len(exs) == 5
-        np.testing.assert_allclose(exs[2].image[0], images[2] / 255.0, atol=1e-7)
+        np.testing.assert_allclose(exs.images[2, 0], images[2] / 255.0, atol=1e-7)
         assert [e.label for e in exs] == labels.tolist()
         assert [e.mode for e in exs] == [0, 1, 0, 1, 0]  # parity rule
 

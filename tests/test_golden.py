@@ -12,7 +12,7 @@ unchanged code.
 import hashlib
 import os
 
-from amf.data import gen_mixture, gen_source_task
+from amf.data import MixtureSpec, dataset_save, gen_mixture, gen_source_task
 from amf.gradsuite import run_suite
 from amf.harness import PretrainConfig, pretrain, save_run_artifacts, train
 from amf.models import checkpoint_save
@@ -30,6 +30,16 @@ EXPECTED = {
     "single_monitor.csv": "39c35310d729a4db011fe8fdfb1efdcc5e2750a8c1326a06e5e9da206a017e18",
     "gradsuite_f64": "191202d9fe8a5123dbb761890663715640299009c03403db45be1c5ce2ad1578",
     "gradsuite_f32": "30631db146dd1481ef87bdc4ee0efce06e43c42d7dd32952bd9dff375e10531f",
+}
+
+
+# AMFDATA1 files of generated datasets. Recorded before the splits were
+# stored as arrays, when each image was drawn and written one at a time.
+DATASET_EXPECTED = {
+    "tiny_target": "c320bcf499570233a267ada54a6df8c0330641caa22d6c4c0625d15673caf046",
+    "tiny_source": "0d918f2832f5857d0a5410c0fdbe61bba8e0320a6550acd5d354986592d6e1c7",
+    "seed0_target": "f458ba8663b86e7664c2faab1e209df31ba674859067d858579622f52a3f5114",
+    "seed0_source": "c53c2ca4d4115b6fd0f726f21fb4d22d11134dd6cc720a356d44e601358a75fb",
 }
 
 
@@ -65,3 +75,18 @@ def golden_digests(out_dir: str) -> dict[str, str]:
 
 def test_artifacts_match_recorded_digests(tmp_path):
     assert golden_digests(str(tmp_path)) == EXPECTED
+
+
+def test_dataset_files_match_recorded_digests(tmp_path):
+    datasets = {
+        "tiny_target": gen_mixture(TINY_SPEC),
+        "tiny_source": gen_source_task(TINY_SPEC, seed=1000, k_src=3),
+        "seed0_target": gen_mixture(MixtureSpec(seed=0)),
+        "seed0_source": gen_source_task(MixtureSpec(seed=0), 1000),
+    }
+    digests = {}
+    for name, ds in datasets.items():
+        path = str(tmp_path / f"{name}.ds")
+        dataset_save(ds, path)
+        digests[name] = _sha256(path)
+    assert digests == DATASET_EXPECTED

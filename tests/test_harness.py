@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amf.data import gen_source_task
 from amf.errors import RunError, UsageError
 from amf.harness import (
+    MAX_MATCH_BRANCHES,
     MONITOR_HEADER,
     PretrainConfig,
     assignment_accuracy,
@@ -44,6 +49,40 @@ class TestAssignmentAccuracy:
     def test_branch_mode_count_mismatch(self):
         with pytest.raises(UsageError):
             assignment_accuracy(np.ones((4, 3)), np.array([0, 1, 0, 1]))
+
+    def test_more_branches_than_the_limit_rejected(self):
+        n = MAX_MATCH_BRANCHES + 1
+        with pytest.raises(UsageError):
+            assignment_accuracy(np.eye(n), np.arange(n))
+
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True),
+        st.lists(st.tuples(st.integers(0, n - 1), st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                 max_size=40))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumerating_every_bijection(self, case):
+        # every mode id appears at least once; h takes few values, so argmax and matching ties are common
+        ids, rows = case
+        n = len(ids)
+        rows = [(k, [1] * n) for k in range(n)] + rows
+        modes = np.array([ids[k] for k, _ in rows])
+        h = np.array([w for _, w in rows], dtype=np.float64)
+        assert assignment_accuracy(h, modes) == _assignment_by_enumeration(h, modes)
+
+
+def _assignment_by_enumeration(h, modes):
+    """Reference: count each bijection's hits over the samples directly."""
+    mode_ids = sorted(set(int(m) for m in modes))
+    assigned = h.argmax(axis=1)
+    best = None
+    for perm in itertools.permutations(range(h.shape[1])):
+        correct = sum(int(((modes == m) & (assigned == perm[k])).sum()) for k, m in enumerate(mode_ids))
+        acc = correct / len(modes)
+        if best is None or acc > best[0]:
+            best = (acc, perm)
+    overall, perm = best
+    per_mode = {m: float((assigned[modes == m] == perm[k]).mean()) for k, m in enumerate(mode_ids)}
+    return per_mode, overall, perm
 
 
 class TestEvaluate:
