@@ -7,10 +7,10 @@ Usage (each directory is a checkout with its own bench/run.py and src/):
         --run finetune_amf:0:10 --run finetune_amf:7:1 --run finetune_single:0:5
 
 Each `--run WORKLOAD:SEED:PAIRS[:TRACE]` asks for PAIRS pairs of
-`python3 bench/run.py --workload WORKLOAD --seed SEED --seconds S --trace TRACE`,
-one run in each checkout per pair. Pair i runs the parent first when i is
-even and the change first when i is odd, so a drift of the machine's speed
-falls on both sides. The runs go to BENCH_<label>.json (rewritten after every
+`python3 bench/run.py --workload WORKLOAD --seed SEED --trace TRACE`, run for
+bench/run.py's default length, one run in each checkout per pair. Pair i runs
+the parent first when i is even and the change first when i is odd, so a
+drift of the machine's speed falls on both sides. The runs go to BENCH_<label>.json (rewritten after every
 run) with the checkouts' git heads and, per run, the last two lines that
 bench/run.py printed: its environment line and its result line. At the end
 it prints, per workload and seed, each end-to-end metric's quartiles on each
@@ -38,9 +38,9 @@ def parse_run(spec: str) -> tuple[str, int, int, int]:
     return workload, int(seed), int(pairs), int(trace)
 
 
-def bench_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[str, str]:
+def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> tuple[str, str]:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("env "):
@@ -75,7 +75,6 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
     ap.add_argument("--run", type=parse_run, action="append", required=True,
                     metavar="WORKLOAD:SEED:PAIRS[:TRACE]")
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--about", default="", help="what the pairs compare, stored in the file")
     args = ap.parse_args(argv)
 
@@ -86,7 +85,7 @@ def main(argv=None) -> int:
     for workload, seed, pairs, trace in args.run:
         for pair in range(pairs):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-                env_line, result_line = bench_once(checkouts[side], workload, seed, args.seconds, trace)
+                env_line, result_line = bench_once(checkouts[side], workload, seed, trace)
                 doc["runs"].append({"workload": workload, "seed": seed, "trace": trace, "pair": pair,
                                     "side": side, "git_head": heads[side],
                                     "env_line": env_line, "result_line": result_line})

@@ -61,10 +61,11 @@ def _mixture_spec(cfg: dict, seed_override: int | None) -> MixtureSpec:
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     spec = _mixture_spec(cfg, args.seed)
-    target = gen_mixture(spec)
+    # the source spec is checked first, so a bad config fails before any generation
     source = gen_source_task(spec, get(cfg, "data.source_seed"),
                              get(cfg, "data.source_classes"),
                              noise=get(cfg, "data.source_noise"))
+    target = gen_mixture(spec)
     os.makedirs(args.out, exist_ok=True)
     dataset_save(target, os.path.join(args.out, "target.ds"))
     dataset_save(source, os.path.join(args.out, "source.ds"))

@@ -70,6 +70,11 @@ class Split:
         return Split(self.images[key], self.labels[key], self.modes[key])
 
 
+def _decode_noise(v: float) -> float:
+    """The value a noise level stored as f32 loads back as: the shortest decimal of the f32."""
+    return float(str(np.float32(v)))
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
     k_a: int = 8
@@ -94,6 +99,11 @@ class MixtureSpec:
             raise ConfigError("need at least one channel")
         if self.noise_a < 0 or self.noise_b < 0:
             raise ConfigError("noise std must be >= 0")
+        for name in ("noise_a", "noise_b"):
+            v = getattr(self, name)
+            if _decode_noise(v) != v:
+                raise ConfigError(f"{name}={v!r} is stored as f32 in a dataset file and "
+                                  f"would load back as {_decode_noise(v)!r}")
 
     @property
     def num_classes(self) -> int:
@@ -206,7 +216,7 @@ def batches(split: Split, batch_size: int, epoch_seed: int, shuffle: bool = True
 #   u32 train count, u32 val count, u32 test count
 #   per example: u16 label, u8 mode, f32 pixels row-major [C, H, W]
 # A noise value is stored as f32 and loaded back as the shortest decimal
-# that rounds to it, so only values equal to that decimal can be saved.
+# that rounds to it; MixtureSpec accepts only values equal to that decimal.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<8s8I2fQ3I")  # magic, spec block, split counts
@@ -216,17 +226,8 @@ def _record_dtype(c: int, h: int, w: int) -> np.dtype:
     return np.dtype([("label", "<u2"), ("mode", "u1"), ("image", "<f4", (c, h, w))])
 
 
-def _decode_noise(v: float) -> float:
-    return float(str(np.float32(v)))
-
-
 def dataset_save(ds: MixtureDataset, path: str) -> None:
     s = ds.spec
-    for name in ("noise_a", "noise_b"):
-        v = getattr(s, name)
-        if _decode_noise(v) != v:
-            raise UsageError(f"{name}={v!r} is stored as f32 and would load back as "
-                             f"{_decode_noise(v)!r}")
     splits = (ds.train, ds.val, ds.test)
     dtype = _record_dtype(s.channels, s.image_hw, s.image_hw)
     if any(sp.images.shape[1:] != dtype["image"].shape for sp in splits):
@@ -323,4 +324,6 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None,
         images, labels = images[:limit], labels[:limit]
     labels = labels.astype(np.int64)
     modes = labels % 2 if mode_rule == "parity" else np.zeros_like(labels)
-    return Split((images / 255.0).astype(np.float32), labels, modes)
+    scaled = np.divide(images, 255.0, out=np.empty(images.shape, np.float32),
+                       dtype=np.float64, casting="unsafe")
+    return Split(scaled, labels, modes)

@@ -79,9 +79,6 @@ class MonitorTrace:
         return max(r.val_top1_overall for r in self.records)
 
 
-MAX_MATCH_BRANCHES = 8
-
-
 def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, tuple]:
     """Per-mode assignment accuracy under the best branch-to-mode matching.
 
@@ -89,8 +86,7 @@ def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, 
     branch-mode correspondence is the bijection maximizing overall accuracy
     (the first in ``itertools.permutations`` order among equals); it is
     returned so callers can report it. All n! bijections are scored from one
-    n x n confusion matrix, so n above ``MAX_MATCH_BRANCHES`` raises
-    ``UsageError``.
+    n x n confusion matrix.
     """
     h = np.asarray(h)
     modes = np.asarray(modes)
@@ -98,8 +94,6 @@ def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, 
     mode_ids, mode_idx = np.unique(modes, return_inverse=True)
     if n != len(mode_ids):
         raise UsageError(f"branch count {n} != mode count {len(mode_ids)}")
-    if n > MAX_MATCH_BRANCHES:
-        raise UsageError(f"assignment matching supports at most {MAX_MATCH_BRANCHES} branches, got {n}")
     # confusion[k, b]: samples of mode_ids[k] assigned to branch b
     confusion = np.bincount(mode_idx * n + h.argmax(axis=1), minlength=n * n).reshape(n, n).tolist()
     # perm[k] = branch matched to mode_ids[k]; max keeps the first of equals

@@ -87,6 +87,16 @@ class TestExitCodes:
         cfg.write_text("data.bogus = 1\n")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    # noise is stored as f32 in a dataset file, so a value it cannot restore is a config error
+    @pytest.mark.parametrize("line", ["data.noise_a = 0.123456789", "data.noise_b = 0.123456789",
+                                      "data.source_noise = 0.123456789"])
+    def test_noise_a_dataset_cannot_restore(self, tmp_path, line):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(CONFIG + line + "\n")
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_data_file(self, workdir, tmp_path):
         rc = main(["train", "--config", str(workdir / "run.cfg"),
                    "--data", str(tmp_path / "nope.ds"), "--out", str(tmp_path)])

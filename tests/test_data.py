@@ -1,4 +1,3 @@
-import os
 import struct
 from dataclasses import replace
 
@@ -104,6 +103,14 @@ class TestMixture:
             MixtureSpec(noise_a=-0.1)
         with pytest.raises(ConfigError):
             MixtureSpec(channels=0)
+
+    # a dataset file stores noise as f32; a spec it could not restore is rejected
+    @pytest.mark.parametrize("field", ["noise_a", "noise_b"])
+    def test_noise_that_would_not_load_back_rejected(self, field):
+        with pytest.raises(ConfigError):
+            replace(SPEC, **{field: 0.1 + 0.2})
+        with pytest.raises(ConfigError):
+            gen_source_task(SPEC, seed=1000, noise=0.123456789)
 
 
 class TestSourceTask:
@@ -211,12 +218,6 @@ class TestDatasetFile:
         dataset_save(ds, path)
         assert dataset_load(path).spec == ds.spec
 
-    def test_noise_that_would_not_load_back_rejected(self, tmp_path):
-        path = str(tmp_path / "t.ds")
-        with pytest.raises(UsageError):
-            dataset_save(gen_mixture(replace(SPEC, noise_a=0.1 + 0.2)), path)
-        assert not os.path.exists(path)
-
     @pytest.mark.parametrize("field, value", [("labels", SPEC.num_classes), ("modes", 2)])
     def test_record_that_would_not_load_rejected(self, tmp_path, field, value):
         ds = gen_mixture(SPEC)
@@ -303,6 +304,14 @@ class TestIdx:
         np.testing.assert_allclose(exs.images[2, 0], images[2] / 255.0, atol=1e-7)
         assert [e.label for e in exs] == labels.tolist()
         assert [e.mode for e in exs] == [0, 1, 0, 1, 0]  # parity rule
+
+    def test_scaling_matches_float64_division(self, tmp_path):
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        ipath, lpath = _write_idx(tmp_path, images, np.arange(4))
+        exs = load_idx(ipath, lpath)
+        expected = (images[:, None] / 255.0).astype(np.float32)
+        assert exs.images.dtype == np.float32
+        assert exs.images.tobytes() == expected.tobytes()
 
     def test_single_mode_rule_and_limit(self, tmp_path):
         images = np.zeros((4, 2, 2), dtype=np.uint8)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from amf.data import gen_source_task
 from amf.errors import RunError, UsageError
 from amf.harness import (
-    MAX_MATCH_BRANCHES,
     MONITOR_HEADER,
     PretrainConfig,
     assignment_accuracy,
@@ -49,11 +48,6 @@ class TestAssignmentAccuracy:
     def test_branch_mode_count_mismatch(self):
         with pytest.raises(UsageError):
             assignment_accuracy(np.ones((4, 3)), np.array([0, 1, 0, 1]))
-
-    def test_more_branches_than_the_limit_rejected(self):
-        n = MAX_MATCH_BRANCHES + 1
-        with pytest.raises(UsageError):
-            assignment_accuracy(np.eye(n), np.arange(n))
 
     @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
         st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True),
