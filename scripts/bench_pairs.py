@@ -14,7 +14,9 @@ drift of the machine's speed falls on both sides. The runs go to BENCH_<label>.j
 run) with the checkouts' git heads and, per run, the last two lines that
 bench/run.py printed: its environment line and its result line. At the end
 it prints, per workload and seed, each end-to-end metric's quartiles on each
-side and the number of pairs the change won.
+side, the number of pairs the change won, and whether the change's median is
+within the metric's `bound` in BENCHMARK.json: no worse than the parent's
+median by more than that fraction, in the metric's `better` direction.
 """
 
 import argparse
@@ -49,8 +51,16 @@ def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> tuple[st
     return lines[-2], lines[-1]
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> None:
-    """Prints q1/median/q3 per side and the pairs the change won, per metric."""
+def within_bound(parent: float, change: float, better: str, bound: float) -> bool:
+    """True when `change` is no worse than `parent` by more than the relative `bound`."""
+    if better == "higher":
+        return change >= parent * (1 - bound)
+    return change <= parent * (1 + bound)
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> None:
+    """Prints q1/median/q3 per side, the pairs the change won and, against the
+    metric's `bound`, whether the change's median is within it, per metric."""
     groups: dict[tuple, dict[int, dict[str, dict]]] = {}
     for r in runs:
         if not r["trace"]:
@@ -59,13 +69,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> None:
     for (workload, seed), pairs in groups.items():
         done = [p for p in pairs.values() if len(p) == 2]
         print(f"{workload} seed {seed}, {len(done)} pairs: q1/median/q3 parent -> change, pairs won")
-        for name, direction in better.items():
+        for metric in metrics:
+            name, direction = metric["name"], metric["better"]
             vals = {side: sorted(p[side][name]["value"] for p in done) for side in ("parent", "change")}
             quart = {side: statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3 for side, v in vals.items()}
             sign = 1 if direction == "higher" else -1
             won = sum(sign * (p["change"][name]["value"] - p["parent"][name]["value"]) > 0 for p in done)
-            print(f"  {name}: " + " -> ".join("/".join(f"{x:.4g}" for x in (q[0], statistics.median(vals[side]), q[2]))
-                                              for side, q in quart.items()) + f", won {won}/{len(done)}")
+            medians = {side: statistics.median(v) for side, v in vals.items()}
+            ok = within_bound(medians["parent"], medians["change"], direction, metric["bound"])
+            print(f"  {name}: " + " -> ".join("/".join(f"{x:.4g}" for x in (q[0], medians[side], q[2]))
+                                              for side, q in quart.items()) + f", won {won}/{len(done)}, "
+                  + ("within" if ok else "OUTSIDE") + f" bound {metric['bound']:g} ({direction} is better)")
 
 
 def main(argv=None) -> int:
@@ -92,7 +106,7 @@ def main(argv=None) -> int:
                 out.write_text(json.dumps(doc, indent=1) + "\n")
                 print(f"{workload} seed {seed} trace {trace} pair {pair} {side}: {result_line}", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    summarize(doc["runs"], {m["name"]: m["better"] for m in spec["end_to_end"]})
+    summarize(doc["runs"], spec["end_to_end"])
     return 0
 
 

@@ -124,14 +124,13 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
 def tensor_create(
     shape: Sequence[int],
     fill: str = "zeros",
-    value: float = 0.0,
     mean: float = 0.0,
     std: float = 1.0,
     seed: int = 0,
     dtype=None,
     requires_grad: bool = False,
 ) -> Tensor:
-    """Create a tensor filled with zeros, a constant, or seeded gaussians.
+    """Create a tensor filled with zeros or seeded gaussians.
 
     Gaussian fill draws from the Philox generator in flat row-major order.
     """
@@ -139,8 +138,6 @@ def tensor_create(
     dtype = dtype or DEFAULT_DTYPE
     if fill == "zeros":
         data = np.zeros(shape, dtype=dtype)
-    elif fill == "constant":
-        data = np.full(shape, value, dtype=dtype)
     elif fill == "gaussian":
         if std < 0:
             raise ShapeError(f"std must be >= 0, got {std}")

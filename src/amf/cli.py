@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import config as cfgmod
-from .config import get, group_names_for, load_config, schedules_for
+from .config import get, load_config, schedules_for
 from .data import dataset_load, dataset_save, gen_mixture, gen_source_task, MixtureSpec
 from .errors import (
     CompatibilityError,
@@ -34,7 +34,7 @@ from .harness import (
     save_run_artifacts,
     train,
 )
-from .models import checkpoint_load, checkpoint_save, init_model, load_params_into
+from .models import checkpoint_load, checkpoint_save, group_prefixes, init_model, load_params_into
 
 EXIT_OK = 0
 EXIT_GRADFAIL = 1
@@ -75,20 +75,24 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _train_config(cfg: dict, num_classes: int, spec, seed_override: int | None) -> TrainConfig:
+def _arch_and_n(cfg: dict) -> tuple[str, int]:
+    """The configured arch and branch count; the single arch has one branch."""
     arch = get(cfg, "model.arch")
-    n = get(cfg, "model.n") if arch != "single" else 1
-    names = group_names_for(arch, n)
+    return arch, (get(cfg, "model.n") if arch != "single" else 1)
+
+
+def _train_config(cfg: dict, num_classes: int, spec, seed_override: int | None) -> TrainConfig:
+    arch, n = _arch_and_n(cfg)
     seed_init = seed_override if seed_override is not None else get(cfg, "train.seed_init")
     seed_data = seed_override if seed_override is not None else get(cfg, "train.seed_data")
     return TrainConfig(
         arch=arch, n=n, d=get(cfg, "model.d"), num_classes=num_classes,
         in_channels=spec.channels, image_hw=spec.image_hw,
-        schedules=schedules_for(cfg, names),
+        schedules=schedules_for(cfg, list(group_prefixes(arch, n))),
         momentum=get(cfg, "optim.momentum"),
         batch_size=get(cfg, "train.batch_size"), epochs=get(cfg, "train.epochs"),
         seed_init=seed_init, seed_data=seed_data,
-        layer_scale=cfg.get("train.layer_scale", 0.4),
+        layer_scale=get(cfg, "train.layer_scale"),
     )
 
 
@@ -144,8 +148,7 @@ def _eval_line(arch: str, report) -> str:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     target = dataset_load(args.data)
-    arch = get(cfg, "model.arch")
-    n = get(cfg, "model.n") if arch != "single" else 1
+    arch, n = _arch_and_n(cfg)
     model = init_model(arch, 0, target.spec.num_classes, n, get(cfg, "model.d"),
                        target.spec.channels, target.spec.image_hw)
     load_params_into(model, checkpoint_load(args.ckpt))

@@ -112,12 +112,3 @@ def schedules_for(cfg: dict, group_names: list[str]) -> dict[str, ScheduleSpec]:
         )
     return out
 
-
-def group_names_for(arch: str, n: int) -> list[str]:
-    if arch == "amf":
-        return [f"branch{i}" for i in range(1, n + 1)] + ["classifier", "policy"]
-    if arch == "multitune":
-        return [f"branch{i}" for i in range(1, n + 1)] + ["classifier"]
-    if arch == "single":
-        return ["backbone", "classifier"]
-    raise ConfigError(f"unknown arch {arch!r}")

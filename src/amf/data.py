@@ -19,6 +19,7 @@ far from mode A.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -295,6 +296,21 @@ def dataset_load(path: str) -> MixtureDataset:
 # IDX (big-endian headers, as distributed for MNIST-family datasets)
 # ---------------------------------------------------------------------------
 
+def _read_idx(path: str, magic: int, what: str) -> tuple[tuple[int, ...], bytes]:
+    """Header dims and unsigned-byte payload of an IDX file; the magic's low byte is the rank."""
+    ndim = magic & 0xFF
+    with open(path, "rb") as f:
+        head = f.read(4 + 4 * ndim)
+        if len(head) != 4 + 4 * ndim or struct.unpack(">I", head[:4])[0] != magic:
+            raise FormatError(f"bad IDX {what} magic")
+        dims = struct.unpack(f">{ndim}I", head[4:])
+        size = math.prod(dims)
+        # checked before reading: a corrupt header can ask for more than the file holds
+        if size > os.fstat(f.fileno()).st_size - len(head):
+            raise FormatError(f"truncated IDX {what} payload")
+        return dims, f.read(size)
+
+
 def load_idx(images_path: str, labels_path: str, limit: int | None = None,
              mode_rule: str = "parity") -> Split:
     """Load an IDX image/label pair; pixels scaled to [0, 1] by /255.
@@ -303,23 +319,12 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None,
     """
     if mode_rule not in ("parity", "single"):
         raise UsageError(f"unknown mode_rule {mode_rule!r}")
-    with open(images_path, "rb") as f:
-        head = f.read(16)
-        if len(head) != 16 or struct.unpack(">I", head[:4])[0] != 0x00000803:
-            raise FormatError("bad IDX image magic")
-        count, rows, cols = struct.unpack(">3I", head[4:])
-        raw = f.read(count * rows * cols)
-    if len(raw) != count * rows * cols:
-        raise FormatError("truncated IDX image payload")
-    with open(labels_path, "rb") as f:
-        head = f.read(8)
-        if len(head) != 8 or struct.unpack(">I", head[:4])[0] != 0x00000801:
-            raise FormatError("bad IDX label magic")
-        (lcount,) = struct.unpack(">I", head[4:])
-        labels = np.frombuffer(f.read(lcount), dtype=np.uint8)
-    if lcount != count or len(labels) != lcount:
+    (count, rows, cols), raw = _read_idx(images_path, 0x00000803, "image")
+    (lcount,), raw_labels = _read_idx(labels_path, 0x00000801, "label")
+    if lcount != count:
         raise FormatError(f"image/label count mismatch: {count} vs {lcount}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
+    labels = np.frombuffer(raw_labels, dtype=np.uint8)
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
     labels = labels.astype(np.int64)

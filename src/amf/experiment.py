@@ -102,7 +102,7 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
     model, trace, best = train(cfg, target, ckpt)
     load_params_into(model, best)
     amf_report = evaluate(model, target.test)
-    epoch0 = list(trace.records[0].mean_h)
+    epoch0 = list(trace.records[0].val.mean_h)
 
     baselines = {}
     for name, sched in (("low", ScheduleSpec(LOW_LR)), ("high", HIGH_LR)):

@@ -28,6 +28,13 @@ from .models import AMFModel
 MODES = {"f64": (np.float64, 1e-6, 1e-5), "f32": (np.float32, 1e-4, 1e-4)}
 
 
+def _mode(mode: str) -> tuple:
+    """(dtype, tolerance, default eps) of a precision mode."""
+    if mode not in MODES:
+        raise UsageError(f"unknown precision mode {mode!r}")
+    return MODES[mode]
+
+
 def _t(rng, shape, dtype, scale=1.0) -> Tensor:
     return Tensor(rng.normal(0.0, scale, size=shape).astype(dtype), requires_grad=True)
 
@@ -122,10 +129,7 @@ def _fd_vs_analytic(params, build_loss, eps, max_coords=None, pick_seed=0) -> fl
 
 def _run_case(params, build_loss, mode, max_coords=None, pick_seed=0, eps=None,
               promote=None) -> float:
-    if mode not in MODES:
-        raise UsageError(f"unknown precision mode {mode!r}")
-    _, _, default_eps = MODES[mode]
-    eps = eps or default_eps
+    eps = eps or _mode(mode)[2]
     loss = build_loss()
     for p in params:
         p.zero_grad()
@@ -138,7 +142,7 @@ def _run_case(params, build_loss, mode, max_coords=None, pick_seed=0, eps=None,
 
 
 def check_primitive(op: str, seed: int, mode: str = "f64") -> float:
-    dtype = MODES[mode][0]
+    dtype = _mode(mode)[0]
     params, build = _op_cases(dtype)[op](new_rng(seed))
     return _run_case(params, build, mode)
 
@@ -150,7 +154,7 @@ def check_amf_loss(seed: int, mode: str = "f64", param_filter: str = "",
     ``param_filter`` restricts which parameters are perturbed (name prefix);
     ``max_coords`` caps the checked coordinates per parameter for speed.
     """
-    dtype = MODES[mode][0]
+    dtype = _mode(mode)[0]
     rng = new_rng(seed)
     model = AMFModel(n=2, d=4, num_classes=3, in_channels=1, image_hw=8, seed=seed)
     for t in model.params.values():
@@ -170,7 +174,7 @@ def run_suite(num_seeds: int = 100, mode: str = "f64",
               amf_seeds: int = 5, amf_coords: int = 20) -> list[dict]:
     """Run every primitive over ``num_seeds`` random instances plus the full
     model loss; returns one report dict per op."""
-    tol = MODES[mode][1]
+    tol = _mode(mode)[1]
     reports = []
     for op in OP_NAMES:
         worst = max(check_primitive(op, seed, mode) for seed in range(num_seeds))

@@ -17,6 +17,7 @@ from .errors import ConfigError, RunError, UsageError
 from .models import (
     AMFModel,
     Model,
+    PolicyPretrainModel,
     SingleModel,
     checkpoint_save,
     init_model,
@@ -64,10 +65,7 @@ class EvalReport:
 class MonitorRecord:
     epoch: int
     train_loss: float
-    val_top1_overall: float
-    val_top1_mode: dict
-    mean_h: list | None  # per branch (gated arch only)
-    assign_acc_mode: dict | None
+    val: EvalReport  # the epoch's validation report
 
 
 @dataclass
@@ -76,7 +74,7 @@ class MonitorTrace:
     warnings: list = field(default_factory=list)
 
     def best_val_top1(self) -> float:
-        return max(r.val_top1_overall for r in self.records)
+        return max(r.val.top1_overall for r in self.records)
 
 
 def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, tuple]:
@@ -104,19 +102,13 @@ def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, 
     return per_mode, hits(perm) / len(modes), perm
 
 
-def _forward_split(model: Model, split, batch_size: int = 64):
-    """Deterministic unshuffled forward over a split; yields per-batch results."""
-    for images, labels, modes in batches(split, batch_size, epoch_seed=0, shuffle=False):
-        res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
-        yield res, labels, modes
-
-
 def evaluate(model: Model, split, batch_size: int = 64) -> EvalReport:
     """Top-1 and loss over a split; adds assignment metrics for the gated arch."""
     if not split:
         raise UsageError("empty split")
     preds, labels_all, modes_all, losses, hs = [], [], [], [], []
-    for res, labels, modes in _forward_split(model, split, batch_size):
+    for images, labels, modes in batches(split, batch_size, epoch_seed=0, shuffle=False):
+        res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
         preds.append(res.probs.data.argmax(axis=1))
         labels_all.append(labels)
         modes_all.append(modes)
@@ -144,13 +136,6 @@ def evaluate(model: Model, split, batch_size: int = 64) -> EvalReport:
     return report
 
 
-def weighting_trace(model: Model, split, batch_size: int = 64) -> list[float]:
-    """Arithmetic mean of the per-sample policy weights, per branch."""
-    if not isinstance(model, AMFModel):
-        raise UsageError("weighting trace requires the gated architecture")
-    return evaluate(model, split, batch_size).mean_h
-
-
 def _fmt(v) -> str:
     return "" if v is None else f"{v:.6g}"
 
@@ -158,11 +143,11 @@ def _fmt(v) -> str:
 def monitor_csv(trace: MonitorTrace) -> str:
     lines = [MONITOR_HEADER]
     for r in trace.records:
-        h = r.mean_h if r.mean_h is not None else [None, None]
-        aa = r.assign_acc_mode if r.assign_acc_mode is not None else {0: None, 1: None}
+        h = r.val.mean_h if r.val.mean_h is not None else [None, None]
+        aa = r.val.assignment_per_mode if r.val.assignment_per_mode is not None else {0: None, 1: None}
         lines.append(",".join([
             str(r.epoch), _fmt(r.train_loss),
-            _fmt(r.val_top1_mode.get(0)), _fmt(r.val_top1_mode.get(1)),
+            _fmt(r.val.top1_per_mode.get(0)), _fmt(r.val.top1_per_mode.get(1)),
             _fmt(h[0]), _fmt(h[1] if len(h) > 1 else None),
             _fmt(aa.get(0)), _fmt(aa.get(1)),
         ]))
@@ -196,16 +181,10 @@ def _train_epochs(model: Model, groups: list[ParamGroup], train_split, val_split
             best_params = {k: t.data.copy() for k, t in model.params.items()}
 
         if trace is not None:
-            mean_h = report.mean_h
-            trace.records.append(MonitorRecord(
-                epoch=epoch, train_loss=train_loss,
-                val_top1_overall=report.top1_overall,
-                val_top1_mode=report.top1_per_mode,
-                mean_h=mean_h, assign_acc_mode=report.assignment_per_mode,
-            ))
+            trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
             # dead-policy watch: one branch hogging all weight at chance accuracy
-            if mean_h is not None and report.assignment_overall is not None:
-                if max(mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
+            if report.assignment_overall is not None:  # implies mean_h is set
+                if max(report.mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
                     saturated_epochs += 1
                 else:
                     saturated_epochs = 0
@@ -224,29 +203,6 @@ class PretrainConfig:
     seed_init: int = 0
     seed_data: int = 0
     d: int = 64
-
-
-class PolicyPretrainModel(Model):
-    """Policy backbone plus a throwaway classification head, for pretraining."""
-
-    arch = "policy_pretrain"
-
-    def __init__(self, num_classes: int, in_channels: int = 1, image_hw: int = 16, seed: int = 0):
-        super().__init__(1, 4, num_classes, in_channels, image_hw)
-        from .models import _gaussian, _he_std, _zeros  # shared initializers
-
-        flat = 4 * (image_hw // 2) * (image_hw // 2)
-        self.params["policy.conv.w"] = _gaussian((4, in_channels, 3, 3), _he_std(in_channels * 9), seed * 1000 + 800)
-        self.params["policy.conv.b"] = _zeros((4,))
-        self._init_classifier(flat, seed * 1000 + 901)
-
-    def forward(self, x: Tensor):
-        from .models import ForwardResult
-
-        h = ad.relu(ad.maxpool2(ad.conv2d(x, self.params["policy.conv.w"], self.params["policy.conv.b"])))
-        fused = ad.flatten(h)
-        logits, probs = self._classify(fused)
-        return ForwardResult(probs=probs, logits=logits, fused=fused)
 
 
 def pretrain(config: PretrainConfig, source: MixtureDataset,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CompatibilityError, FormatError, ShapeError, UsageError
+from .errors import CompatibilityError, ConfigError, FormatError, ShapeError, UsageError
 
 CKPT_MAGIC = b"AMFCKPT1"
 
@@ -176,6 +176,40 @@ class AMFModel(Model):
         fused = ad.concat(scaled)
         logits, probs = self._classify(fused)
         return ForwardResult(probs=probs, logits=logits, fused=fused, weights=weights, latents=latents)
+
+
+class PolicyPretrainModel(Model):
+    """Policy backbone plus a throwaway classification head, for pretraining."""
+
+    arch = "policy_pretrain"
+
+    def __init__(self, num_classes: int, in_channels: int = 1, image_hw: int = 16, seed: int = 0):
+        super().__init__(1, 4, num_classes, in_channels, image_hw)
+        self.params["policy.conv.w"] = _gaussian((4, in_channels, 3, 3), _he_std(in_channels * 9), seed * 1000 + 800)
+        self.params["policy.conv.b"] = _zeros((4,))
+        self._init_classifier(4 * (image_hw // 2) * (image_hw // 2), seed * 1000 + 901)
+
+    def forward(self, x: Tensor) -> ForwardResult:
+        h = ad.relu(ad.maxpool2(ad.conv2d(x, self.params["policy.conv.w"], self.params["policy.conv.b"])))
+        fused = ad.flatten(h)
+        logits, probs = self._classify(fused)
+        return ForwardResult(probs=probs, logits=logits, fused=fused)
+
+
+def group_prefixes(arch: str, n: int) -> dict[str, str]:
+    """Optimizer group layout: group name -> prefix of its parameter names.
+
+    Each branch is its own group (its own fine-tuning rate); the single
+    baseline calls its one branch the backbone.
+    """
+    if arch == "single":
+        return {"backbone": "branch1.", "classifier": "classifier."}
+    if arch not in ("amf", "multitune"):
+        raise ConfigError(f"no group layout for arch {arch!r}")
+    groups = [f"branch{i}" for i in range(1, n + 1)] + ["classifier"]
+    if arch == "amf":
+        groups.append("policy")
+    return {g: g + "." for g in groups}
 
 
 def init_model(arch: str, seed: int, num_classes: int, n: int = 2, d: int = 64,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .models import AMFModel, Model, MultiTuneModel, SingleModel
+from .models import Model, group_prefixes
 
 
 @dataclass(frozen=True)
@@ -44,31 +44,17 @@ class ParamGroup:
     members: list[str]
     schedule: ScheduleSpec
     momentum: float = 0.9
-    # (name prefix, factor) pairs: members matching a prefix use lr * factor
-    layer_scale: list[tuple[str, float]] = field(default_factory=list)
+    # member -> learning-rate factor; members not listed train at the group rate
+    scales: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0 <= self.momentum < 1):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for prefix, factor in self.layer_scale:
+        for name, factor in self.scales.items():
             if not (0 < factor <= 1):
-                raise ConfigError(f"layer_scale factor must be in (0, 1], got {factor}")
-
-    def scale_for(self, param_name: str) -> float:
-        for prefix, factor in self.layer_scale:
-            if param_name.startswith(prefix):
-                return factor
-        return 1.0
-
-
-def apply_layer_scale(group: ParamGroup, prefix: str, factor: float) -> ParamGroup:
-    """Register a per-prefix learning-rate multiplier on a group."""
-    if not (0 < factor <= 1):
-        raise ConfigError(f"factor must be in (0, 1], got {factor}")
-    if not any(m.startswith(prefix) for m in group.members):
-        raise UsageError(f"prefix {prefix!r} matches no member of group {group.name!r}")
-    group.layer_scale.append((prefix, factor))
-    return group
+                raise ConfigError(f"layer scale factor must be in (0, 1], got {factor}")
+            if name not in self.members:
+                raise UsageError(f"scaled parameter {name!r} is not a member of group {self.name!r}")
 
 
 class OptimizerState:
@@ -81,50 +67,29 @@ class OptimizerState:
 
 def build_groups(model: Model, schedules: dict[str, ScheduleSpec], momentum: float = 0.9,
                  layer_scale_factor: float | None = None) -> list[ParamGroup]:
-    """Partition the model's parameters into named learning-rate groups.
-
-    Group names: branch1..branchN + classifier (+ policy for the gated arch);
-    the single-backbone arch uses {backbone, classifier} with an optional
-    layer-scale on the first conv block standing in for a third rate.
+    """Partition the model's parameters into the learning-rate groups that
+    ``models.group_prefixes`` lays out for its arch. With a layer-scale
+    factor, each backbone's first conv block trains at that fraction of its
+    group's rate (for the single arch, a stand-in for a third rate).
     """
     names = list(model.params)
-
-    def members(prefix: str) -> list[str]:
-        return [n for n in names if n.startswith(prefix)]
-
-    if isinstance(model, AMFModel):
-        wanted = [f"branch{i}" for i in range(1, model.n + 1)] + ["classifier", "policy"]
-        prefixes = {g: g + "." for g in wanted}
-    elif isinstance(model, MultiTuneModel):
-        wanted = [f"branch{i}" for i in range(1, model.n + 1)] + ["classifier"]
-        prefixes = {g: g + "." for g in wanted}
-    elif isinstance(model, SingleModel):
-        wanted = ["backbone", "classifier"]
-        prefixes = {"backbone": "branch1.", "classifier": "classifier."}
-    else:
-        raise ConfigError(f"no group layout for arch {model.arch!r}")
-
-    missing = [g for g in wanted if g not in schedules]
+    prefixes = group_prefixes(model.arch, model.n)
+    missing = [g for g in prefixes if g not in schedules]
     if missing:
         raise ConfigError(f"missing schedules for groups: {missing}")
 
     groups = []
-    for g in wanted:
-        mem = members(prefixes[g])
+    for g, prefix in prefixes.items():
+        mem = [n for n in names if n.startswith(prefix)]
         if not mem:
             raise ConfigError(f"group {g!r} matched no parameters")
-        groups.append(ParamGroup(name=g, members=mem, schedule=schedules[g], momentum=momentum))
+        # shallow-block reduction: each backbone's first conv block trains slower
+        scales = {m: layer_scale_factor for m in mem if layer_scale_factor is not None and ".conv1." in m}
+        groups.append(ParamGroup(g, mem, schedules[g], momentum, scales))
 
     covered: list[str] = sum((g.members for g in groups), [])
     if sorted(covered) != sorted(names) or len(covered) != len(set(covered)):
         raise ConfigError(f"group cover mismatch: {sorted(set(names) ^ set(covered))}")
-
-    if layer_scale_factor is not None:
-        # shallow-block reduction: each backbone's first conv block trains slower
-        for g in groups:
-            conv1 = sorted({m.rsplit(".", 2)[0] + ".conv1." for m in g.members if ".conv1." in m})
-            for prefix in conv1:
-                apply_layer_scale(g, prefix, layer_scale_factor)
     return groups
 
 
@@ -139,4 +104,4 @@ def sgd_step(model: Model, state: OptimizerState, groups: list[ParamGroup]) -> N
             v = state.velocity[name]
             v *= g.momentum
             v += p.grad
-            p.data = (p.data - (lr * g.scale_for(name)) * v).astype(p.dtype)
+            p.data = (p.data - (lr * g.scales.get(name, 1.0)) * v).astype(p.dtype)

@@ -234,7 +234,7 @@ class TestCriterion7MonitorInvariants:
         _, trace, _ = tiny_amf_run
         assert trace.records, "no monitor records emitted"
         for r in trace.records:
-            assert sum(r.mean_h) == pytest.approx(1.0, abs=1e-6)
+            assert sum(r.val.mean_h) == pytest.approx(1.0, abs=1e-6)
 
     def test_one_record_per_completed_epoch(self, tiny_amf_run):
         _, trace, _ = tiny_amf_run
@@ -242,4 +242,4 @@ class TestCriterion7MonitorInvariants:
 
     def test_best_val_equals_max_over_records(self, tiny_amf_run):
         _, trace, _ = tiny_amf_run
-        assert trace.best_val_top1() == max(r.val_top1_overall for r in trace.records)
+        assert trace.best_val_top1() == max(r.val.top1_overall for r in trace.records)

@@ -1,6 +1,6 @@
 import pytest
 
-from amf.config import get, group_names_for, parse_config, schedules_for
+from amf.config import get, parse_config, schedules_for
 from amf.errors import ConfigError
 
 VALID = """
@@ -73,10 +73,3 @@ class TestSchedules:
     def test_missing_group_lr_rejected(self):
         with pytest.raises(ConfigError, match="optim.policy.lr"):
             schedules_for(parse_config(VALID), ["policy"])
-
-    def test_group_names(self):
-        assert group_names_for("amf", 2) == ["branch1", "branch2", "classifier", "policy"]
-        assert group_names_for("multitune", 3) == ["branch1", "branch2", "branch3", "classifier"]
-        assert group_names_for("single", 1) == ["backbone", "classifier"]
-        with pytest.raises(ConfigError):
-            group_names_for("resnet", 1)

@@ -330,6 +330,24 @@ class TestIdx:
         with pytest.raises(FormatError):
             load_idx(ipath, lpath)
 
+    @pytest.mark.parametrize("dims", [(2**32 - 1,) * 3, (100000, 1000, 1000)],
+                             ids=["overflows_an_index", "larger_than_memory"])
+    def test_header_larger_than_file_rejected(self, tmp_path, dims):
+        ipath, lpath = _write_idx(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), np.array([0]))
+        with open(ipath, "wb") as f:
+            f.write(struct.pack(">4I", 0x803, *dims))
+        with pytest.raises(FormatError, match="truncated"):
+            load_idx(ipath, lpath)
+
+    def test_label_header_larger_than_file_rejected(self, tmp_path):
+        ipath, lpath = _write_idx(tmp_path, np.zeros((0, 2, 2), dtype=np.uint8), np.array([]))
+        with open(ipath, "wb") as f:
+            f.write(struct.pack(">4I", 0x803, 2**32 - 1, 0, 0))
+        with open(lpath, "wb") as f:
+            f.write(struct.pack(">2I", 0x801, 2**32 - 1))
+        with pytest.raises(FormatError, match="truncated"):
+            load_idx(ipath, lpath)
+
     def test_bad_magic_rejected(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)
         ipath, lpath = _write_idx(tmp_path, images, np.array([0]))

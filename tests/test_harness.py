@@ -16,7 +16,6 @@ from amf.harness import (
     pretrain,
     train,
     transfer_map_for,
-    weighting_trace,
 )
 from amf.models import AMFModel, SingleModel
 from amf.optim import ScheduleSpec
@@ -98,15 +97,10 @@ class TestEvaluate:
         with pytest.raises(UsageError):
             evaluate(model, [])
 
-    def test_weighting_trace_requires_gated_arch(self, tiny_mixture):
-        model = SingleModel(d=8, num_classes=TINY_SPEC.num_classes, image_hw=8)
-        with pytest.raises(UsageError):
-            weighting_trace(model, tiny_mixture.val)
-
     def test_weighting_trace_is_a_distribution(self, tiny_amf_run, tiny_mixture):
         model, _, _ = tiny_amf_run
-        mean_h = weighting_trace(model, tiny_mixture.val)
-        assert len(mean_h) == 2
+        mean_h = evaluate(model, tiny_mixture.val).mean_h
+        assert len(mean_h) == model.n == 2
         assert sum(mean_h) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -117,7 +111,7 @@ class TestTrainLoop:
 
     def test_best_val_is_max_over_records(self, tiny_amf_run):
         _, trace, _ = tiny_amf_run
-        assert trace.best_val_top1() == max(r.val_top1_overall for r in trace.records)
+        assert trace.best_val_top1() == max(r.val.top1_overall for r in trace.records)
 
     def test_best_params_cover_all_params(self, tiny_amf_run):
         model, _, best = tiny_amf_run
@@ -141,7 +135,7 @@ class TestTrainLoop:
                                 schedules={"backbone": ScheduleSpec(0.01),
                                            "classifier": ScheduleSpec(0.01)})
         _, trace, _ = train(cfg, tiny_mixture)
-        assert all(r.mean_h is None for r in trace.records)
+        assert all(r.val.mean_h is None for r in trace.records)
 
 
 @pytest.fixture(scope="module")

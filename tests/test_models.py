@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from amf import autodiff as ad
 from amf.autodiff import Tensor, new_rng
-from amf.errors import CompatibilityError, FormatError, UsageError
+from amf.errors import CompatibilityError, ConfigError, FormatError, UsageError
 from amf.models import (
     CKPT_MAGIC,
     AMFModel,
@@ -16,6 +16,7 @@ from amf.models import (
     checkpoint_load,
     checkpoint_save,
     deserialize_params,
+    group_prefixes,
     init_model,
     load_params_into,
     serialize_params,
@@ -38,6 +39,15 @@ class TestInit:
     def test_factory_rejects_unknown_arch(self):
         with pytest.raises(UsageError):
             init_model("resnet", 0, num_classes=4)
+
+    def test_group_prefixes(self):
+        assert group_prefixes("amf", 2) == {"branch1": "branch1.", "branch2": "branch2.",
+                                            "classifier": "classifier.", "policy": "policy."}
+        assert group_prefixes("multitune", 3) == {"branch1": "branch1.", "branch2": "branch2.",
+                                                  "branch3": "branch3.", "classifier": "classifier."}
+        assert group_prefixes("single", 1) == {"backbone": "branch1.", "classifier": "classifier."}
+        with pytest.raises(ConfigError):
+            group_prefixes("resnet", 1)
 
     def test_policy_is_smaller_than_a_branch(self):
         m = AMFModel(n=2, d=64, num_classes=16)

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from amf.autodiff import Tensor
 from amf.errors import ConfigError, UsageError
-from amf.models import AMFModel, SingleModel
+from amf.models import AMFModel, MultiTuneModel, SingleModel
 from amf.optim import (
     OptimizerState,
     ParamGroup,
     ScheduleSpec,
-    apply_layer_scale,
     build_groups,
     lr_at_epoch,
     sgd_step,
@@ -132,6 +131,16 @@ class TestGroups:
         covered = sorted(sum((g.members for g in groups), []))
         assert covered == sorted(model.params)
 
+    def test_multitune_group_layout_covers_all_params(self):
+        model = MultiTuneModel(n=3, d=8, num_classes=4, image_hw=8)
+        scheds = {g: ScheduleSpec(0.01) for g in ("branch1", "branch2", "branch3", "classifier")}
+        groups = build_groups(model, scheds)
+        assert [g.name for g in groups] == ["branch1", "branch2", "branch3", "classifier"]
+        for g in groups:
+            assert all(m.startswith(g.name + ".") for m in g.members)
+        covered = sorted(sum((g.members for g in groups), []))
+        assert covered == sorted(model.params)
+
     def test_single_arch_uses_backbone_group(self):
         model = SingleModel(d=8, num_classes=4, image_hw=8)
         groups = build_groups(model, {"backbone": ScheduleSpec(0.01),
@@ -149,12 +158,10 @@ class TestGroups:
         scheds = {"backbone": ScheduleSpec(0.01), "classifier": ScheduleSpec(0.01)}
         groups = build_groups(model, scheds, layer_scale_factor=0.4)
         backbone = next(g for g in groups if g.name == "backbone")
-        assert backbone.scale_for("branch1.conv1.w") == pytest.approx(0.4)
-        assert backbone.scale_for("branch1.conv2.w") == 1.0
+        assert backbone.scales == {"branch1.conv1.w": 0.4, "branch1.conv1.b": 0.4}
 
     def test_apply_layer_scale_validates_prefix(self):
-        group = ParamGroup("g", ["a.w"], ScheduleSpec(0.1))
         with pytest.raises(UsageError):
-            apply_layer_scale(group, "b.", 0.5)
+            ParamGroup("g", ["a.w"], ScheduleSpec(0.1), scales={"b.w": 0.5})
         with pytest.raises(ConfigError):
-            apply_layer_scale(group, "a.", 1.5)
+            ParamGroup("g", ["a.w"], ScheduleSpec(0.1), scales={"a.w": 1.5})
