@@ -185,9 +185,10 @@ class PolicyPretrainModel(Model):
 
     def __init__(self, num_classes: int, in_channels: int = 1, image_hw: int = 16, seed: int = 0):
         super().__init__(1, 4, num_classes, in_channels, image_hw)
+        flat = 4 * (image_hw // 2) * (image_hw // 2)
         self.params["policy.conv.w"] = _gaussian((4, in_channels, 3, 3), _he_std(in_channels * 9), seed * 1000 + 800)
         self.params["policy.conv.b"] = _zeros((4,))
-        self._init_classifier(4 * (image_hw // 2) * (image_hw // 2), seed * 1000 + 901)
+        self._init_classifier(flat, seed * 1000 + 901)
 
     def forward(self, x: Tensor) -> ForwardResult:
         h = ad.relu(ad.maxpool2(ad.conv2d(x, self.params["policy.conv.w"], self.params["policy.conv.b"])))
