@@ -1,6 +1,7 @@
 """Model architectures: gated multi-branch network, static-fusion and
-single-backbone baselines, plus checkpoint I/O and transfer of pretrained
-backbone weights.
+single-backbone baselines and the policy pretraining model, each
+architecture's optimizer group layout, plus checkpoint I/O and transfer of
+pretrained backbone weights.
 
 Parameter naming convention (load-bearing for optimizer groups and transfer):
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from amf import autodiff as ad
+from amf import gradsuite
 from amf.autodiff import Tensor, new_rng
 from amf.errors import DataError, ShapeError, UsageError
-from amf import gradsuite
 from amf.gradsuite import _run_case
 from amf.models import AMFModel
 
@@ -210,15 +210,6 @@ class TestBackward:
         max_rel = _run_case([a, w], build, "f64", eps=1e-6)
         assert max_rel < 1e-6, max_rel
 
-    @pytest.mark.parametrize("entry", [
-        lambda mode: gradsuite.check_primitive("matmul", 0, mode),
-        lambda mode: gradsuite.check_amf_loss(0, mode),
-        lambda mode: gradsuite.run_suite(num_seeds=1, mode=mode, amf_seeds=1),
-    ], ids=["check_primitive", "check_amf_loss", "run_suite"])
-    def test_grad_suite_rejects_unknown_mode(self, entry):
-        with pytest.raises(UsageError, match="unknown precision mode 'f16'"):
-            entry("f16")
-
     def test_no_two_tensors_share_a_grad_buffer(self):
         model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
         loss = ad.cross_entropy(model.forward(_rand((2, 1, 8, 8), dtype=np.float32)).logits,
@@ -236,6 +227,17 @@ class TestBackward:
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+
+class TestGradSuite:
+    @pytest.mark.parametrize("entry", [
+        lambda mode: gradsuite.check_primitive("matmul", 0, mode),
+        lambda mode: gradsuite.check_amf_loss(0, mode),
+        lambda mode: gradsuite.run_suite(num_seeds=1, mode=mode, amf_seeds=1),
+    ], ids=["check_primitive", "check_amf_loss", "run_suite"])
+    def test_unknown_mode_rejected(self, entry):
+        with pytest.raises(UsageError, match="unknown precision mode 'f16'"):
+            entry("f16")
 
 
 class TestGraphLifetime:

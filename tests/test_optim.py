@@ -157,8 +157,9 @@ class TestGroups:
         model = SingleModel(d=8, num_classes=4, image_hw=8)
         scheds = {"backbone": ScheduleSpec(0.01), "classifier": ScheduleSpec(0.01)}
         groups = build_groups(model, scheds, layer_scale_factor=0.4)
-        backbone = next(g for g in groups if g.name == "backbone")
-        assert backbone.scales == {"branch1.conv1.w": 0.4, "branch1.conv1.b": 0.4}
+        by_name = {g.name: g for g in groups}
+        assert by_name["backbone"].scales == {"branch1.conv1.w": 0.4, "branch1.conv1.b": 0.4}
+        assert by_name["classifier"].scales == {}
 
     def test_apply_layer_scale_validates_prefix(self):
         with pytest.raises(UsageError):
