@@ -129,7 +129,8 @@ def _fd_vs_analytic(params, build_loss, eps, max_coords=None, pick_seed=0) -> fl
 
 def _run_case(params, build_loss, mode, max_coords=None, pick_seed=0, eps=None,
               promote=None) -> float:
-    eps = eps or _mode(mode)[2]
+    _, _, default_eps = _mode(mode)
+    eps = eps or default_eps
     loss = build_loss()
     for p in params:
         p.zero_grad()

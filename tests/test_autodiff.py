@@ -234,7 +234,8 @@ class TestGradSuite:
         lambda mode: gradsuite.check_primitive("matmul", 0, mode),
         lambda mode: gradsuite.check_amf_loss(0, mode),
         lambda mode: gradsuite.run_suite(num_seeds=1, mode=mode, amf_seeds=1),
-    ], ids=["check_primitive", "check_amf_loss", "run_suite"])
+        lambda mode: _run_case([Tensor(np.ones(2), requires_grad=True)], None, mode, eps=1e-6),
+    ], ids=["check_primitive", "check_amf_loss", "run_suite", "run_case_with_eps"])
     def test_unknown_mode_rejected(self, entry):
         with pytest.raises(UsageError, match="unknown precision mode 'f16'"):
             entry("f16")
