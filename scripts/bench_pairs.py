@@ -13,10 +13,12 @@ the parent first when i is even and the change first when i is odd, so a
 drift of the machine's speed falls on both sides. The runs go to BENCH_<label>.json (rewritten after every
 run) with the checkouts' git heads and, per run, the last two lines that
 bench/run.py printed: its environment line and its result line. At the end
-it prints, per workload and seed, each end-to-end metric's quartiles on each
-side, the number of pairs the change won, and whether the change's median is
-within the metric's `bound` in BENCHMARK.json: no worse than the parent's
-median by more than that fraction, in the metric's `better` direction.
+it prints, per workload and seed, each side's total of failed and attempted
+operations over all its runs, every run that bench/run.py did not mark
+correct, and then each end-to-end metric's quartiles on each side, the number
+of pairs the change won, and whether the change's median is within the
+metric's `bound` in BENCHMARK.json: no worse than the parent's median by more
+than that fraction, in the metric's `better` direction.
 """
 
 import argparse
@@ -58,17 +60,36 @@ def within_bound(parent: float, change: float, better: str, bound: float) -> boo
     return change <= parent * (1 + bound)
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> None:
-    """Prints q1/median/q3 per side, the pairs the change won and, against the
-    metric's `bound`, whether the change's median is within it, per metric."""
-    groups: dict[tuple, dict[int, dict[str, dict]]] = {}
+def failures(runs: list[dict]) -> str:
+    """Each side's failed/attempted operations summed over `runs`, and the runs
+    whose result is not marked correct."""
+    totals = {"parent": [0, 0], "change": [0, 0]}
+    wrong = []
     for r in runs:
-        if not r["trace"]:
-            pairs = groups.setdefault((r["workload"], r["seed"]), {})
-            pairs.setdefault(r["pair"], {})[r["side"]] = json.loads(r["result_line"])["metrics"]
-    for (workload, seed), pairs in groups.items():
+        result = json.loads(r["result_line"])
+        totals[r["side"]][0] += result["failed"]
+        totals[r["side"]][1] += result["attempted"]
+        if not result["correct"]:
+            wrong.append(f"pair {r['pair']} {r['side']}" + (" traced" if r["trace"] else ""))
+    return ("  failed/attempted: " + " -> ".join(f"{side} {f}/{a}" for side, (f, a) in totals.items())
+            + "; correct: false in " + (", ".join(wrong) or "no run"))
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> None:
+    """Prints, per workload and seed, the failure counts and then, per metric,
+    q1/median/q3 per side, the pairs the change won and, against the metric's
+    `bound`, whether the change's median is within it."""
+    groups: dict[tuple, list[dict]] = {}
+    for r in runs:
+        groups.setdefault((r["workload"], r["seed"]), []).append(r)
+    for (workload, seed), group in groups.items():
+        pairs: dict[int, dict[str, dict]] = {}
+        for r in group:
+            if not r["trace"]:
+                pairs.setdefault(r["pair"], {})[r["side"]] = json.loads(r["result_line"])["metrics"]
         done = [p for p in pairs.values() if len(p) == 2]
         print(f"{workload} seed {seed}, {len(done)} pairs: q1/median/q3 parent -> change, pairs won")
+        print(failures(group))
         for metric in metrics:
             name, direction = metric["name"], metric["better"]
             vals = {side: sorted(p[side][name]["value"] for p in done) for side in ("parent", "change")}

@@ -63,13 +63,12 @@ class Tensor:
         data: np.ndarray,
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
-        _backward: Callable[[], None] | None = None,
     ):
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._parents = _parents
-        self._backward = _backward
+        self._backward: Callable[[], None] | None = None  # set by the op that made it
         self._id = next(_ids)
 
     @property
@@ -124,25 +123,22 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
 def tensor_create(
     shape: Sequence[int],
     fill: str = "zeros",
-    mean: float = 0.0,
     std: float = 1.0,
     seed: int = 0,
-    dtype=None,
     requires_grad: bool = False,
 ) -> Tensor:
-    """Create a tensor filled with zeros or seeded gaussians.
+    """Create a tensor filled with zeros or seeded zero-mean gaussians.
 
     Gaussian fill draws from the Philox generator in flat row-major order.
     """
     shape = _check_shape(shape)
-    dtype = dtype or DEFAULT_DTYPE
     if fill == "zeros":
-        data = np.zeros(shape, dtype=dtype)
+        data = np.zeros(shape, dtype=DEFAULT_DTYPE)
     elif fill == "gaussian":
         if std < 0:
             raise ShapeError(f"std must be >= 0, got {std}")
-        flat = new_rng(seed).normal(mean, std, size=int(np.prod(shape)))
-        data = flat.reshape(shape).astype(dtype)
+        flat = new_rng(seed).normal(0.0, std, size=int(np.prod(shape)))
+        data = flat.reshape(shape).astype(DEFAULT_DTYPE)
     else:
         raise UsageError(f"unknown fill kind {fill!r}")
     return Tensor(data, requires_grad=requires_grad)

@@ -75,14 +75,8 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _arch_and_n(cfg: dict) -> tuple[str, int]:
-    """The configured arch and branch count; the single arch has one branch."""
-    arch = get(cfg, "model.arch")
-    return arch, (get(cfg, "model.n") if arch != "single" else 1)
-
-
 def _train_config(cfg: dict, num_classes: int, spec, seed_override: int | None) -> TrainConfig:
-    arch, n = _arch_and_n(cfg)
+    arch, n = get(cfg, "model.arch"), get(cfg, "model.n")
     seed_init = seed_override if seed_override is not None else get(cfg, "train.seed_init")
     seed_data = seed_override if seed_override is not None else get(cfg, "train.seed_data")
     return TrainConfig(
@@ -148,8 +142,8 @@ def _eval_line(arch: str, report) -> str:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     target = dataset_load(args.data)
-    arch, n = _arch_and_n(cfg)
-    model = init_model(arch, 0, target.spec.num_classes, n, get(cfg, "model.d"),
+    arch = get(cfg, "model.arch")
+    model = init_model(arch, 0, target.spec.num_classes, get(cfg, "model.n"), get(cfg, "model.d"),
                        target.spec.channels, target.spec.image_hw)
     load_params_into(model, checkpoint_load(args.ckpt))
     report = evaluate(model, target.split(args.split))

@@ -95,28 +95,24 @@ def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
     ckpt = pretrain(PretrainConfig(d=config.d, seed_init=seed, seed_data=seed),
                     source, report=report)
 
-    cfg = TrainConfig(arch="amf", n=2, d=config.d, num_classes=spec.num_classes,
-                      in_channels=spec.channels, image_hw=spec.image_hw,
-                      schedules=amf_schedules(), batch_size=config.batch_size,
-                      epochs=config.amf_epochs, seed_init=seed, seed_data=seed)
-    model, trace, best = train(cfg, target, ckpt)
-    load_params_into(model, best)
-    amf_report = evaluate(model, target.test)
-    epoch0 = list(trace.records[0].val.mean_h)
+    common = dict(d=config.d, num_classes=spec.num_classes, in_channels=spec.channels,
+                  image_hw=spec.image_hw, batch_size=config.batch_size, seed_init=seed, seed_data=seed)
+    low = ScheduleSpec(LOW_LR)
+    runs = {
+        "amf": TrainConfig(arch="amf", n=2, schedules=amf_schedules(), epochs=config.amf_epochs, **common),
+        "low": TrainConfig(arch="single", n=1, schedules={"backbone": low, "classifier": low},
+                           epochs=config.baseline_epochs, **common),
+        "high": TrainConfig(arch="single", n=1, schedules={"backbone": HIGH_LR, "classifier": HIGH_LR},
+                            epochs=config.baseline_epochs, **common),
+    }
+    reports, traces = {}, {}
+    for name, cfg in runs.items():
+        model, traces[name], best = train(cfg, target, ckpt)
+        load_params_into(model, best)
+        reports[name] = evaluate(model, target.test)
+    epoch0 = list(traces["amf"].records[0].val.mean_h)
 
-    baselines = {}
-    for name, sched in (("low", ScheduleSpec(LOW_LR)), ("high", HIGH_LR)):
-        bcfg = TrainConfig(arch="single", n=1, d=config.d, num_classes=spec.num_classes,
-                           in_channels=spec.channels, image_hw=spec.image_hw,
-                           schedules={"backbone": sched, "classifier": sched},
-                           batch_size=config.batch_size, epochs=config.baseline_epochs,
-                           seed_init=seed, seed_data=seed)
-        bmodel, _, bbest = train(bcfg, target, ckpt)
-        load_params_into(bmodel, bbest)
-        baselines[name] = evaluate(bmodel, target.test)
-
-    result = SeedResult(seed=seed, source_val=report["backbone_val"], amf=amf_report,
-                        low=baselines["low"], high=baselines["high"], epoch0_mean_h=epoch0)
+    result = SeedResult(seed=seed, source_val=report["backbone_val"], epoch0_mean_h=epoch0, **reports)
     if log is not None:
         log(f"seed {seed}: source val {result.source_val:.4f}, "
             f"amf {result.amf.top1_overall:.4f}, low {result.low.top1_overall:.4f}, "

@@ -100,12 +100,23 @@ def _op_cases(dtype):
 OP_NAMES = tuple(_op_cases(np.float64))
 
 
-def _fd_vs_analytic(params, build_loss, eps, max_coords=None, pick_seed=0) -> float:
-    """Max relative error between stored analytic grads and central differences.
+def _run_case(params, build_loss, mode, max_coords=None, pick_seed=0, eps=None,
+              promote=None) -> float:
+    """Max relative error between the analytic gradients of ``build_loss`` and
+    its central differences over ``params``.
 
-    Call only after analytic grads are populated; the finite differences run
-    in whatever dtype the parameter data currently holds.
+    In f32 mode the finite differences run on ``promote`` (default
+    ``params``) promoted to float64 after the float32 backward.
     """
+    _, _, default_eps = _mode(mode)
+    eps = eps or default_eps
+    loss = build_loss()
+    for p in params:
+        p.zero_grad()
+    loss.backward()
+    if mode == "f32":
+        for p in (promote or params):
+            p.data = p.data.astype(np.float64)
     analytic = [np.array(p.grad if p.grad is not None else np.zeros(p.shape)) for p in params]
     pick = new_rng(pick_seed)
     max_rel = 0.0
@@ -127,32 +138,15 @@ def _fd_vs_analytic(params, build_loss, eps, max_coords=None, pick_seed=0) -> fl
     return max_rel
 
 
-def _run_case(params, build_loss, mode, max_coords=None, pick_seed=0, eps=None,
-              promote=None) -> float:
-    _, _, default_eps = _mode(mode)
-    eps = eps or default_eps
-    loss = build_loss()
-    for p in params:
-        p.zero_grad()
-    loss.backward()
-    if mode == "f32":
-        # promote everything feeding the finite differences to float64
-        for p in (promote or params):
-            p.data = p.data.astype(np.float64)
-    return _fd_vs_analytic(params, build_loss, eps, max_coords, pick_seed)
-
-
 def check_primitive(op: str, seed: int, mode: str = "f64") -> float:
     dtype = _mode(mode)[0]
     params, build = _op_cases(dtype)[op](new_rng(seed))
     return _run_case(params, build, mode)
 
 
-def check_amf_loss(seed: int, mode: str = "f64", param_filter: str = "",
-                   max_coords: int | None = None) -> float:
+def check_amf_loss(seed: int, mode: str = "f64", max_coords: int | None = None) -> float:
     """Finite differences on the full gated-model cross-entropy loss.
 
-    ``param_filter`` restricts which parameters are perturbed (name prefix);
     ``max_coords`` caps the checked coordinates per parameter for speed.
     """
     dtype = _mode(mode)[0]
@@ -162,13 +156,13 @@ def check_amf_loss(seed: int, mode: str = "f64", param_filter: str = "",
         t.data = t.data.astype(dtype)
     x = Tensor(rng.normal(0.5, 0.3, size=(2, 1, 8, 8)).astype(dtype))
     labels = rng.integers(0, 3, size=2)
-    params = [t for k, t in model.params.items() if k.startswith(param_filter)]
+    params = list(model.params.values())
 
     def build():
         return ad.cross_entropy(model.forward(x).logits, labels)
 
     return _run_case(params, build, mode, max_coords=max_coords, pick_seed=seed + 1,
-                     eps=1e-4, promote=list(model.params.values()) + [x])
+                     eps=1e-4, promote=params + [x])
 
 
 def run_suite(num_seeds: int = 100, mode: str = "f64",

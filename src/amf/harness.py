@@ -15,18 +15,22 @@ from .autodiff import Tensor
 from .data import MixtureDataset, batches
 from .errors import ConfigError, RunError, UsageError
 from .models import (
-    AMFModel,
     Model,
     PolicyPretrainModel,
     SingleModel,
     checkpoint_save,
     init_model,
     transfer_init,
+    transfer_map_for,
 )
 from .optim import OptimizerState, ParamGroup, ScheduleSpec, build_groups, sgd_step
 
-MONITOR_HEADER = ("epoch,train_loss,val_top1_mode0,val_top1_mode1,"
-                  "mean_h_branch0,mean_h_branch1,assign_acc_mode0,assign_acc_mode1")
+def _monitor_header(n_h: int) -> str:
+    return ",".join(["epoch", "train_loss", "val_top1_mode0", "val_top1_mode1",
+                     *(f"mean_h_branch{i}" for i in range(n_h)), "assign_acc_mode0", "assign_acc_mode1"])
+
+
+MONITOR_HEADER = _monitor_header(2)
 
 
 @dataclass
@@ -127,7 +131,7 @@ def evaluate(model: Model, split, batch_size: int = 64) -> EvalReport:
         top1_per_mode=per_mode,
         loss=sum(losses) / len(labels_all),
     )
-    if hs and isinstance(model, AMFModel):
+    if hs:
         h = np.concatenate(hs)
         report.mean_h = h.mean(axis=0).tolist()
         if model.n == len(set(modes_all.tolist())):
@@ -143,24 +147,26 @@ def _fmt(v) -> str:
 
 
 def monitor_csv(trace: MonitorTrace) -> str:
-    lines = [MONITOR_HEADER]
+    """One row per epoch, with one mean-h column per branch (never fewer than two)."""
+    n_h = max([2] + [len(r.val.mean_h) for r in trace.records if r.val.mean_h is not None])
+    lines = [_monitor_header(n_h)]
     for r in trace.records:
-        h = r.val.mean_h if r.val.mean_h is not None else [None, None]
-        aa = r.val.assignment_per_mode if r.val.assignment_per_mode is not None else {0: None, 1: None}
+        h = r.val.mean_h or []
+        aa = r.val.assignment_per_mode or {}
         lines.append(",".join([
             str(r.epoch), _fmt(r.train_loss),
             _fmt(r.val.top1_per_mode.get(0)), _fmt(r.val.top1_per_mode.get(1)),
-            _fmt(h[0]), _fmt(h[1] if len(h) > 1 else None),
+            *(_fmt(v) for v in h + [None] * (n_h - len(h))),
             _fmt(aa.get(0)), _fmt(aa.get(1)),
         ]))
     return "\n".join(lines) + "\n"
 
 
 def _train_epochs(model: Model, groups: list[ParamGroup], train_split, val_split,
-                  epochs: int, batch_size: int, seed_data: int,
-                  trace: MonitorTrace | None = None) -> tuple[float, dict]:
-    """Shared epoch loop; returns (best val top-1, best parameter snapshot)."""
+                  epochs: int, batch_size: int, seed_data: int) -> tuple[MonitorTrace, dict]:
+    """Shared epoch loop; returns (monitor trace, best-val parameter snapshot)."""
     state = OptimizerState(model)
+    trace = MonitorTrace()
     best_top1, best_params = -1.0, None
     saturated_epochs = 0
     for epoch in range(epochs):
@@ -182,17 +188,16 @@ def _train_epochs(model: Model, groups: list[ParamGroup], train_split, val_split
             best_top1 = report.top1_overall
             best_params = {k: t.data.copy() for k, t in model.params.items()}
 
-        if trace is not None:
-            trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
-            # dead-policy watch: one branch hogging all weight at chance accuracy
-            if report.assignment_overall is not None:  # implies mean_h is set
-                if max(report.mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
-                    saturated_epochs += 1
-                else:
-                    saturated_epochs = 0
-                if saturated_epochs == 20:
-                    trace.warnings.append(f"dead policy network suspected at epoch {epoch}")
-    return best_top1, best_params
+        trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
+        # dead-policy watch: one branch hogging all weight at chance accuracy
+        if report.assignment_overall is not None:  # implies mean_h is set
+            if max(report.mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
+                saturated_epochs += 1
+            else:
+                saturated_epochs = 0
+            if saturated_epochs == 20:
+                trace.warnings.append(f"dead policy network suspected at epoch {epoch}")
+    return trace, best_params
 
 
 @dataclass
@@ -223,30 +228,20 @@ def pretrain(config: PretrainConfig, source: MixtureDataset,
         {"backbone": ScheduleSpec(config.backbone_lr), "classifier": ScheduleSpec(config.backbone_lr)},
         momentum=config.momentum,
     )
-    backbone_val, _ = _train_epochs(backbone, groups, source.train, source.val,
-                                    config.epochs, config.batch_size, config.seed_data)
+    backbone_trace, _ = _train_epochs(backbone, groups, source.train, source.val,
+                                      config.epochs, config.batch_size, config.seed_data)
 
     policy = PolicyPretrainModel(spec.num_classes, spec.channels, spec.image_hw, seed=config.seed_init)
     pgroups = [ParamGroup("all", list(policy.params), ScheduleSpec(config.policy_lr), config.momentum)]
-    policy_val, _ = _train_epochs(policy, pgroups, source.train, source.val,
-                                  config.epochs, config.batch_size, config.seed_data + 1)
+    policy_trace, _ = _train_epochs(policy, pgroups, source.train, source.val,
+                                    config.epochs, config.batch_size, config.seed_data + 1)
     if report is not None:
-        report["backbone_val"] = backbone_val
-        report["policy_val"] = policy_val
+        report["backbone_val"] = backbone_trace.best_val_top1()
+        report["policy_val"] = policy_trace.best_val_top1()
 
     ckpt = {k: t.data.copy() for k, t in backbone.params.items() if not k.startswith("classifier.")}
     ckpt.update({k: t.data.copy() for k, t in policy.params.items() if k.startswith("policy.conv.")})
     return ckpt
-
-
-def transfer_map_for(model: Model) -> dict[str, str]:
-    """Default mapping from a pretrain checkpoint into each architecture."""
-    mapping = {}
-    for i in range(1, model.n + 1):
-        mapping[f"branch{i}."] = "branch1."
-    if isinstance(model, AMFModel):
-        mapping["policy.conv."] = "policy.conv."
-    return mapping
 
 
 def train(config: TrainConfig, target: MixtureDataset,
@@ -259,9 +254,8 @@ def train(config: TrainConfig, target: MixtureDataset,
         transfer_init(model, pretrained, transfer_map_for(model))
     groups = build_groups(model, config.schedules, config.momentum,
                           layer_scale_factor=config.layer_scale)
-    trace = MonitorTrace()
-    _, best_params = _train_epochs(model, groups, target.train, target.val,
-                                   config.epochs, config.batch_size, config.seed_data, trace)
+    trace, best_params = _train_epochs(model, groups, target.train, target.val,
+                                       config.epochs, config.batch_size, config.seed_data)
     return model, trace, best_params
 
 

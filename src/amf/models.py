@@ -41,12 +41,12 @@ class ForwardResult:
     latents: list[Tensor] = field(default_factory=list)
 
 
-def _gaussian(shape, std, seed, requires_grad=True) -> Tensor:
-    return ad.tensor_create(shape, fill="gaussian", mean=0.0, std=std, seed=seed, requires_grad=requires_grad)
+def _gaussian(shape, std, seed) -> Tensor:
+    return ad.tensor_create(shape, fill="gaussian", std=std, seed=seed, requires_grad=True)
 
 
-def _zeros(shape, requires_grad=True) -> Tensor:
-    return ad.tensor_create(shape, fill="zeros", requires_grad=requires_grad)
+def _zeros(shape) -> Tensor:
+    return ad.tensor_create(shape, requires_grad=True)
 
 
 def _he_std(fan_in: int) -> float:
@@ -72,29 +72,42 @@ class Model:
         self.image_hw = image_hw
         self.params: dict[str, Tensor] = {}
 
+    def _init_block(self, name: str, c_in: int, c_out: int, seed: int) -> None:
+        self.params[f"{name}.w"] = _gaussian((c_out, c_in, 3, 3), _he_std(c_in * 9), seed)
+        self.params[f"{name}.b"] = _zeros((c_out,))
+
+    def _block(self, name: str, x: Tensor) -> Tensor:
+        """One conv block: 3x3 conv, 2x2 max-pool, ReLU. Pooling before the
+        ReLU gives the same values (both are monotone) on a quarter of the
+        elements."""
+        return ad.relu(ad.maxpool2(ad.conv2d(x, self.params[f"{name}.w"], self.params[f"{name}.b"])))
+
+    def _linear(self, name: str, x: Tensor) -> Tensor:
+        return ad.add_bias(ad.matmul(x, self.params[f"{name}.w"]), self.params[f"{name}.b"])
+
     def _init_branch(self, prefix: str, rng_seed: int) -> None:
-        c, hw, d = self.in_channels, self.image_hw, self.d
-        flat = 16 * (hw // 4) * (hw // 4)
-        self.params[f"{prefix}.conv1.w"] = _gaussian((8, c, 3, 3), _he_std(c * 9), rng_seed)
-        self.params[f"{prefix}.conv1.b"] = _zeros((8,))
-        self.params[f"{prefix}.conv2.w"] = _gaussian((16, 8, 3, 3), _he_std(8 * 9), rng_seed + 1)
-        self.params[f"{prefix}.conv2.b"] = _zeros((16,))
-        self.params[f"{prefix}.head.w"] = _gaussian((flat, d), _he_std(flat), rng_seed + 2)
-        self.params[f"{prefix}.head.b"] = _zeros((d,))
+        flat = 16 * (self.image_hw // 4) ** 2
+        self._init_block(f"{prefix}.conv1", self.in_channels, 8, rng_seed)
+        self._init_block(f"{prefix}.conv2", 8, 16, rng_seed + 1)
+        self.params[f"{prefix}.head.w"] = _gaussian((flat, self.d), _he_std(flat), rng_seed + 2)
+        self.params[f"{prefix}.head.b"] = _zeros((self.d,))
 
     def _branch_forward(self, prefix: str, x: Tensor) -> Tensor:
-        p = self.params
-        h = ad.relu(ad.maxpool2(ad.conv2d(x, p[f"{prefix}.conv1.w"], p[f"{prefix}.conv1.b"])))
-        h = ad.relu(ad.maxpool2(ad.conv2d(h, p[f"{prefix}.conv2.w"], p[f"{prefix}.conv2.b"])))
-        return ad.relu(ad.add_bias(ad.matmul(ad.flatten(h), p[f"{prefix}.head.w"]), p[f"{prefix}.head.b"]))
+        h = self._block(f"{prefix}.conv2", self._block(f"{prefix}.conv1", x))
+        return ad.relu(self._linear(f"{prefix}.head", ad.flatten(h)))
+
+    def _init_policy_stem(self, seed: int) -> int:
+        """The policy backbone conv block; returns its flattened output width."""
+        self._init_block("policy.conv", self.in_channels, 4, seed * 1000 + 800)
+        return 4 * (self.image_hw // 2) ** 2
 
     def _init_classifier(self, in_width: int, seed: int) -> None:
         self.params["classifier.w"] = _gaussian((in_width, self.num_classes), 0.1, seed)
         self.params["classifier.b"] = _zeros((self.num_classes,))
 
-    def _classify(self, fused: Tensor) -> tuple[Tensor, Tensor]:
-        logits = ad.add_bias(ad.matmul(fused, self.params["classifier.w"]), self.params["classifier.b"])
-        return logits, ad.softmax(logits)
+    def _classify(self, fused: Tensor, **extra) -> ForwardResult:
+        logits = self._linear("classifier", fused)
+        return ForwardResult(probs=ad.softmax(logits), logits=logits, fused=fused, **extra)
 
     def zero_grads(self) -> None:
         for t in self.params.values():
@@ -116,8 +129,7 @@ class SingleModel(Model):
 
     def forward(self, x: Tensor) -> ForwardResult:
         m = self._branch_forward("branch1", x)
-        logits, probs = self._classify(m)
-        return ForwardResult(probs=probs, logits=logits, fused=m, latents=[m])
+        return self._classify(m, latents=[m])
 
 
 class MultiTuneModel(Model):
@@ -133,9 +145,7 @@ class MultiTuneModel(Model):
 
     def forward(self, x: Tensor) -> ForwardResult:
         latents = [self._branch_forward(f"branch{i}", x) for i in range(1, self.n + 1)]
-        fused = ad.concat(latents)
-        logits, probs = self._classify(fused)
-        return ForwardResult(probs=probs, logits=logits, fused=fused, latents=latents)
+        return self._classify(ad.concat(latents), latents=latents)
 
 
 class AMFModel(Model):
@@ -146,37 +156,27 @@ class AMFModel(Model):
 
     def __init__(self, n: int, d: int, num_classes: int, in_channels: int = 1, image_hw: int = 16, seed: int = 0):
         super().__init__(n, d, num_classes, in_channels, image_hw)
-        c, hw = in_channels, image_hw
         for i in range(1, n + 1):
             self._init_branch(f"branch{i}", seed * 1000 + i * 10)
-        pol_flat = 4 * (hw // 2) * (hw // 2)
-        self.params["policy.conv.w"] = _gaussian((4, c, 3, 3), _he_std(c * 9), seed * 1000 + 800)
-        self.params["policy.conv.b"] = _zeros((4,))
+        pol_flat = self._init_policy_stem(seed)
         # zero head: every sample starts at the uniform weighting 1/n, so early
         # routing reflects accumulated gradient signal rather than init noise
         self.params["policy.head.w"] = _zeros((pol_flat, n))
         self.params["policy.head.b"] = _zeros((n,))
         self._init_classifier(n * d, seed * 1000 + 900)
-        assert self.policy_param_count() < self.branch_param_count("branch1")
+        assert self.param_count("policy.") < self.param_count("branch1.")
 
-    def branch_param_count(self, prefix: str) -> int:
-        return sum(t.data.size for k, t in self.params.items() if k.startswith(prefix + "."))
-
-    def policy_param_count(self) -> int:
-        return self.branch_param_count("policy")
+    def param_count(self, prefix: str) -> int:
+        return sum(t.data.size for k, t in self.params.items() if k.startswith(prefix))
 
     def policy_logits(self, x: Tensor) -> Tensor:
-        p = self.params
-        h = ad.relu(ad.maxpool2(ad.conv2d(x, p["policy.conv.w"], p["policy.conv.b"])))
-        return ad.add_bias(ad.matmul(ad.flatten(h), p["policy.head.w"]), p["policy.head.b"])
+        return self._linear("policy.head", ad.flatten(self._block("policy.conv", x)))
 
     def forward(self, x: Tensor) -> ForwardResult:
         weights = ad.softmax(self.policy_logits(x))
         latents = [self._branch_forward(f"branch{i}", x) for i in range(1, self.n + 1)]
         scaled = [ad.scale_rows(m, ad.slice_cols(weights, i, i + 1)) for i, m in enumerate(latents)]
-        fused = ad.concat(scaled)
-        logits, probs = self._classify(fused)
-        return ForwardResult(probs=probs, logits=logits, fused=fused, weights=weights, latents=latents)
+        return self._classify(ad.concat(scaled), weights=weights, latents=latents)
 
 
 class PolicyPretrainModel(Model):
@@ -186,16 +186,10 @@ class PolicyPretrainModel(Model):
 
     def __init__(self, num_classes: int, in_channels: int = 1, image_hw: int = 16, seed: int = 0):
         super().__init__(1, 4, num_classes, in_channels, image_hw)
-        flat = 4 * (image_hw // 2) * (image_hw // 2)
-        self.params["policy.conv.w"] = _gaussian((4, in_channels, 3, 3), _he_std(in_channels * 9), seed * 1000 + 800)
-        self.params["policy.conv.b"] = _zeros((4,))
-        self._init_classifier(flat, seed * 1000 + 901)
+        self._init_classifier(self._init_policy_stem(seed), seed * 1000 + 901)
 
     def forward(self, x: Tensor) -> ForwardResult:
-        h = ad.relu(ad.maxpool2(ad.conv2d(x, self.params["policy.conv.w"], self.params["policy.conv.b"])))
-        fused = ad.flatten(h)
-        logits, probs = self._classify(fused)
-        return ForwardResult(probs=probs, logits=logits, fused=fused)
+        return self._classify(ad.flatten(self._block("policy.conv", x)))
 
 
 def group_prefixes(arch: str, n: int) -> dict[str, str]:
@@ -217,7 +211,7 @@ def group_prefixes(arch: str, n: int) -> dict[str, str]:
 def init_model(arch: str, seed: int, num_classes: int, n: int = 2, d: int = 64,
                in_channels: int = 1, image_hw: int = 16) -> Model:
     """Deterministic model factory. Classifier weights ~ N(0, 0.1), bias 0;
-    backbone weights use fan-in-scaled gaussians."""
+    backbone weights use fan-in-scaled gaussians. ``single`` ignores ``n``."""
     if arch == "amf":
         return AMFModel(n, d, num_classes, in_channels, image_hw, seed)
     if arch == "multitune":
@@ -333,3 +327,12 @@ def transfer_init(target: Model, source: dict[str, np.ndarray], mapping: dict[st
             raise CompatibilityError(f"mapping {tgt_prefix!r} -> {src_prefix!r} matched nothing")
     _copy_checked(target, updates)
     return target
+
+
+def transfer_map_for(model: Model) -> dict[str, str]:
+    """Default mapping from a pretrain checkpoint: each branch from the
+    pretrained backbone, and the policy conv where the model has one."""
+    mapping = {f"branch{i}.": "branch1." for i in range(1, model.n + 1)}
+    if "policy.conv.w" in model.params:
+        mapping["policy.conv."] = "policy.conv."
+    return mapping

@@ -80,6 +80,34 @@ class TestPipeline:
                    "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
         assert rc == EXIT_OK
 
+    def test_monitor_has_a_weight_column_per_branch(self, workdir, tmp_path):
+        cfg = tmp_path / "n3.cfg"
+        cfg.write_text(CONFIG.replace("model.n = 2", "model.n = 3") + "optim.branch3.lr = 0.03\n")
+        rc = main(["train", "--config", str(cfg),
+                   "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        header, *rows = (tmp_path / "amf_monitor.csv").read_text().strip().split("\n")
+        cols = header.split(",")
+        assert "mean_h_branch2" in cols
+        h_cols = [i for i, c in enumerate(cols) if c.startswith("mean_h_")]
+        assert len(h_cols) == 3 and len(rows) == 2
+        for row in rows:
+            h = [float(row.split(",")[i]) for i in h_cols]
+            assert sum(h) == pytest.approx(1.0, abs=1e-5)
+
+    def test_single_arch_ignores_n(self, workdir, tmp_path):
+        artifacts = []
+        for n in (1, 2):
+            cfg = tmp_path / f"single{n}.cfg"
+            cfg.write_text(CONFIG.replace("model.arch = amf", "model.arch = single")
+                                 .replace("model.n = 2", f"model.n = {n}") + "optim.backbone.lr = 0.01\n")
+            out = tmp_path / f"n{n}"
+            rc = main(["train", "--config", str(cfg), "--data", str(workdir / "data/target.ds"),
+                       "--ckpt", str(workdir / "runs/pretrained.ckpt"), "--out", str(out)])
+            assert rc == EXIT_OK
+            artifacts.append([(out / f).read_bytes() for f in ("single_monitor.csv", "single_best.ckpt")])
+        assert artifacts[0] == artifacts[1]
+
 
 class TestExitCodes:
     def test_bad_config_key(self, tmp_path):

@@ -17,7 +17,7 @@ from amf.harness import (
     train,
     transfer_map_for,
 )
-from amf.models import AMFModel, SingleModel
+from amf.models import AMFModel, MultiTuneModel, SingleModel
 from amf.optim import ScheduleSpec
 
 from conftest import TINY_SPEC, tiny_train_config
@@ -91,6 +91,11 @@ class TestEvaluate:
         model = SingleModel(d=8, num_classes=TINY_SPEC.num_classes, image_hw=8)
         report = evaluate(model, tiny_mixture.val)
         assert report.assignment_overall is None
+
+    def test_ungated_multi_branch_report_has_no_weighting(self, tiny_mixture):
+        model = MultiTuneModel(n=2, d=8, num_classes=TINY_SPEC.num_classes, image_hw=8)
+        report = evaluate(model, tiny_mixture.val)
+        assert report.mean_h is None and report.assignment_overall is None
 
     def test_empty_split_rejected(self):
         model = SingleModel(d=8, num_classes=4, image_hw=8)
@@ -166,6 +171,8 @@ class TestPretrainTransfer:
         assert mapping["policy.conv."] == "policy.conv."
         single = SingleModel(d=8, num_classes=4, image_hw=8)
         assert transfer_map_for(single) == {"branch1.": "branch1."}
+        multitune = MultiTuneModel(n=2, d=8, num_classes=4, image_hw=8)
+        assert transfer_map_for(multitune) == {"branch1.": "branch1.", "branch2.": "branch1."}
 
     def test_train_starts_from_transferred_weights(self, source_ckpt, tiny_mixture):
         ckpt, _ = source_ckpt

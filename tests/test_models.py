@@ -51,7 +51,7 @@ class TestInit:
 
     def test_policy_is_smaller_than_a_branch(self):
         m = AMFModel(n=2, d=64, num_classes=16)
-        assert m.policy_param_count() < m.branch_param_count("branch1")
+        assert m.param_count("policy.") < m.param_count("branch1.")
 
     def test_policy_head_starts_at_uniform_weighting(self):
         m = AMFModel(n=3, d=8, num_classes=4, image_hw=8)
