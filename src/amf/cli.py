@@ -14,7 +14,6 @@ import json
 import os
 import sys
 
-from . import config as cfgmod
 from .config import get, load_config, schedules_for
 from .data import dataset_load, dataset_save, gen_mixture, gen_source_task, MixtureSpec
 from .errors import (

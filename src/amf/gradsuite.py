@@ -16,8 +16,6 @@ Two precision modes:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import autodiff as ad
