@@ -11,14 +11,18 @@ Each `--run WORKLOAD:SEED:PAIRS[:TRACE]` asks for PAIRS pairs of
 bench/run.py's default length, one run in each checkout per pair. Pair i runs
 the parent first when i is even and the change first when i is odd, so a
 drift of the machine's speed falls on both sides. The runs go to BENCH_<label>.json (rewritten after every
-run) with the checkouts' git heads and, per run, the last two lines that
-bench/run.py printed: its environment line and its result line. At the end
-it prints, per workload and seed, each side's total of failed and attempted
-operations over all its runs, every run that bench/run.py did not mark
-correct, and then each end-to-end metric's quartiles on each side, the number
+run) with the checkouts' git heads and, per run, its wall time and the last
+two lines that bench/run.py printed: its environment line and its result
+line. A run that exits nonzero or prints no result is stored too, with its
+exit code and the last 20 lines of its stderr, and the series goes on. At the
+end it prints, per workload and seed, the runs that failed, each side's total
+of failed and attempted operations over all its other runs, every run that
+bench/run.py did not mark correct, and then each end-to-end metric's
+quartiles on each side over the pairs where both runs succeeded, the number
 of pairs the change won, and whether the change's median is within the
 metric's `bound` in BENCHMARK.json: no worse than the parent's median by more
-than that fraction, in the metric's `better` direction.
+than that fraction, in the metric's `better` direction. It exits 1 if any run
+failed.
 """
 
 import argparse
@@ -26,6 +30,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -42,15 +47,19 @@ def parse_run(spec: str) -> tuple[str, int, int, int]:
     return workload, int(seed), int(pairs), int(trace)
 
 
-def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> tuple[str, str]:
+def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One bench/run.py run: its wall time and its environment and result
+    lines or, when it fails, its exit code and the tail of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
+    t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall = round(time.perf_counter() - t0, 3)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("env "):
-        sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} failed "
-                 f"(exit {proc.returncode}):\n{proc.stderr}")
-    return lines[-2], lines[-1]
+    if proc.returncode == 0 and len(lines) >= 2 and lines[-2].startswith("env "):
+        return {"wall_s": wall, "env_line": lines[-2], "result_line": lines[-1]}
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "stderr_tail": proc.stderr.splitlines()[-20:]}
 
 
 def within_bound(parent: float, change: float, better: str, bound: float) -> bool:
@@ -66,6 +75,8 @@ def failures(runs: list[dict]) -> str:
     totals = {"parent": [0, 0], "change": [0, 0]}
     wrong = []
     for r in runs:
+        if "result_line" not in r:
+            continue
         result = json.loads(r["result_line"])
         totals[r["side"]][0] += result["failed"]
         totals[r["side"]][1] += result["attempted"]
@@ -76,20 +87,25 @@ def failures(runs: list[dict]) -> str:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> None:
-    """Prints, per workload and seed, the failure counts and then, per metric,
-    q1/median/q3 per side, the pairs the change won and, against the metric's
-    `bound`, whether the change's median is within it."""
+    """Prints, per workload and seed, the failed runs and the failure counts
+    and then, per metric, q1/median/q3 per side, the pairs the change won
+    and, against the metric's `bound`, whether the change's median is within
+    it."""
     groups: dict[tuple, list[dict]] = {}
     for r in runs:
         groups.setdefault((r["workload"], r["seed"]), []).append(r)
     for (workload, seed), group in groups.items():
         pairs: dict[int, dict[str, dict]] = {}
         for r in group:
-            if not r["trace"]:
+            if not r["trace"] and "result_line" in r:
                 pairs.setdefault(r["pair"], {})[r["side"]] = json.loads(r["result_line"])["metrics"]
         done = [p for p in pairs.values() if len(p) == 2]
         print(f"{workload} seed {seed}, {len(done)} pairs: q1/median/q3 parent -> change, pairs won")
+        print("  failed runs: " + (", ".join(f"pair {r['pair']} {r['side']} (exit {r['exit_code']})"
+                                             for r in group if "exit_code" in r) or "none"))
         print(failures(group))
+        if not done:
+            continue
         for metric in metrics:
             name, direction = metric["name"], metric["better"]
             vals = {side: sorted(p[side][name]["value"] for p in done) for side in ("parent", "change")}
@@ -120,15 +136,20 @@ def main(argv=None) -> int:
     for workload, seed, pairs, trace in args.run:
         for pair in range(pairs):
             for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-                env_line, result_line = bench_once(checkouts[side], workload, seed, trace)
-                doc["runs"].append({"workload": workload, "seed": seed, "trace": trace, "pair": pair,
-                                    "side": side, "git_head": heads[side],
-                                    "env_line": env_line, "result_line": result_line})
+                run = {"workload": workload, "seed": seed, "trace": trace, "pair": pair,
+                       "side": side, "git_head": heads[side],
+                       **bench_once(checkouts[side], workload, seed, trace)}
+                doc["runs"].append(run)
                 out.write_text(json.dumps(doc, indent=1) + "\n")
-                print(f"{workload} seed {seed} trace {trace} pair {pair} {side}: {result_line}", flush=True)
+                head = f"{workload} seed {seed} trace {trace} pair {pair} {side}"
+                if "exit_code" in run:
+                    print(f"{head}: FAILED (exit {run['exit_code']}, {run['wall_s']} s)", flush=True)
+                    print("\n".join(run["stderr_tail"]), file=sys.stderr, flush=True)
+                else:
+                    print(f"{head}: {run['result_line']}", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     summarize(doc["runs"], spec["end_to_end"])
-    return 0
+    return 1 if any("exit_code" in r for r in doc["runs"]) else 0
 
 
 if __name__ == "__main__":

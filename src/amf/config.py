@@ -99,7 +99,11 @@ def get(cfg: dict, key: str):
 
 
 def schedules_for(cfg: dict, group_names: list[str]) -> dict[str, ScheduleSpec]:
-    """Build one ScheduleSpec per required group from optim.<group>.* keys."""
+    """Build one ScheduleSpec per required group from optim.<group>.* keys.
+
+    An optim.<group>.* key for a group not in ``group_names`` (a misspelt
+    group, or one the arch does not have) is an error, not silently unused.
+    """
     out = {}
     for g in group_names:
         lr_key = f"optim.{g}.lr"
@@ -110,5 +114,8 @@ def schedules_for(cfg: dict, group_names: list[str]) -> dict[str, ScheduleSpec]:
             decay_rate=cfg.get(f"optim.{g}.decay_rate", 0.9),
             decay_epochs=cfg.get(f"optim.{g}.decay_epochs", 20),
         )
+    unknown = sorted(k for k in cfg if (m := _GROUP_KEY.match(k)) and m.group(1) not in out)
+    if unknown:
+        raise ConfigError(f"keys for no optimizer group of this model: {unknown} "
+                          f"(groups: {group_names})")
     return out
-

@@ -169,14 +169,19 @@ class AMFModel(Model):
     def param_count(self, prefix: str) -> int:
         return sum(t.data.size for k, t in self.params.items() if k.startswith(prefix))
 
-    def policy_logits(self, x: Tensor) -> Tensor:
-        return self._linear("policy.head", ad.flatten(self._block("policy.conv", x)))
+    def gate(self, x: Tensor) -> Tensor:
+        """Per-sample branch weights [N, n]: the softmaxed policy output."""
+        return ad.softmax(self._linear("policy.head", ad.flatten(self._block("policy.conv", x))))
 
-    def forward(self, x: Tensor) -> ForwardResult:
-        weights = ad.softmax(self.policy_logits(x))
-        latents = [self._branch_forward(f"branch{i}", x) for i in range(1, self.n + 1)]
+    def fuse(self, weights: Tensor, latents: list[Tensor]) -> ForwardResult:
+        """Scale each branch latent by its weight column, concatenate and
+        classify. The only point where the policy and the branches meet."""
         scaled = [ad.scale_rows(m, ad.slice_cols(weights, i, i + 1)) for i, m in enumerate(latents)]
         return self._classify(ad.concat(scaled), weights=weights, latents=latents)
+
+    def forward(self, x: Tensor) -> ForwardResult:
+        return self.fuse(self.gate(x), [self._branch_forward(f"branch{i}", x)
+                                        for i in range(1, self.n + 1)])
 
 
 class PolicyPretrainModel(Model):

@@ -240,6 +240,43 @@ class TestGradSuite:
         with pytest.raises(UsageError, match="unknown precision mode 'f16'"):
             entry("f16")
 
+    @staticmethod
+    def _recorded(build, losses):
+        def run():
+            loss = build()
+            losses.append(loss.data.tobytes())
+            return loss
+        return run
+
+    @pytest.mark.parametrize("mode", ["f64", "f32"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_memoized_amf_loss_equals_full_rebuild(self, seed, mode):
+        """Every loss the memoized builder returns, and so the suite's
+        result, is bit-identical to rebuilding the whole forward."""
+        runs = []
+        for memoized in (True, False):
+            model, x, labels = gradsuite._amf_case(seed, mode)
+            params = list(model.params.values())
+            build = (gradsuite._amf_loss(model, x, labels) if memoized
+                     else lambda: ad.cross_entropy(model.forward(x).logits, labels))
+            losses = []
+            err = _run_case(params, self._recorded(build, losses), mode, max_coords=20,
+                            pick_seed=seed + 1, eps=1e-4, promote=params + [x])
+            runs.append((err, losses))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) > 400
+        assert gradsuite.check_amf_loss(seed, mode, max_coords=20) == runs[1][0]
+
+    def test_memo_rebuilds_a_branch_after_its_parameter_changes(self):
+        model, x, labels = gradsuite._amf_case(0, "f64")
+        build = gradsuite._amf_loss(model, x, labels)
+        before = build().data.item()
+        model.params["branch2.conv1.w"].data.reshape(-1)[5] += 0.5
+        fresh, fx, flabels = gradsuite._amf_case(0, "f64")
+        fresh.params["branch2.conv1.w"].data.reshape(-1)[5] += 0.5
+        expected = ad.cross_entropy(fresh.forward(fx).logits, flabels).data.item()
+        assert build().data.item() == expected != before
+
 
 class TestGraphLifetime:
     """A graph is freed by reference counting once its caller drops it, so

@@ -99,8 +99,10 @@ class TestPipeline:
         artifacts = []
         for n in (1, 2):
             cfg = tmp_path / f"single{n}.cfg"
-            cfg.write_text(CONFIG.replace("model.arch = amf", "model.arch = single")
-                                 .replace("model.n = 2", f"model.n = {n}") + "optim.backbone.lr = 0.01\n")
+            text = "".join(line + "\n" for line in CONFIG.splitlines()
+                           if not line.startswith(("optim.branch", "optim.policy.")))
+            cfg.write_text(text.replace("model.arch = amf", "model.arch = single")
+                               .replace("model.n = 2", f"model.n = {n}") + "optim.backbone.lr = 0.01\n")
             out = tmp_path / f"n{n}"
             rc = main(["train", "--config", str(cfg), "--data", str(workdir / "data/target.ds"),
                        "--ckpt", str(workdir / "runs/pretrained.ckpt"), "--out", str(out)])
@@ -114,6 +116,16 @@ class TestExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("data.bogus = 1\n")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_misspelt_optim_group(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "misspelt.cfg"
+        cfg.write_text(CONFIG + "optim.brnch2.decay_rate = 0.5\n")
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(cfg), "--data", str(workdir / "data/target.ds"),
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "optim.brnch2.decay_rate" in capsys.readouterr().err
+        assert not out.exists()
 
     # noise is stored as f32 in a dataset file, so a value it cannot restore is a config error
     @pytest.mark.parametrize("line", ["data.noise_a = 0.123456789", "data.noise_b = 0.123456789",

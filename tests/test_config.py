@@ -73,3 +73,11 @@ class TestSchedules:
     def test_missing_group_lr_rejected(self):
         with pytest.raises(ConfigError, match="optim.policy.lr"):
             schedules_for(parse_config(VALID), ["policy"])
+
+    # a group the model does not have would otherwise be parsed and never read
+    @pytest.mark.parametrize("key", ["optim.brnch1.decay_rate = 0.5", "optim.policy.lr = 0.1"],
+                             ids=["misspelt", "not_in_arch"])
+    def test_key_for_unknown_group_rejected(self, key):
+        cfg = parse_config(VALID + key + "\n")
+        with pytest.raises(ConfigError, match=key.split(" ")[0]):
+            schedules_for(cfg, ["branch1", "classifier"])
