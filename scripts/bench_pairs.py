@@ -11,13 +11,15 @@ Each `--run WORKLOAD:SEED:PAIRS[:TRACE]` asks for PAIRS pairs of
 bench/run.py's default length, one run in each checkout per pair. Pair i runs
 the parent first when i is even and the change first when i is odd, so a
 drift of the machine's speed falls on both sides. The runs go to BENCH_<label>.json (rewritten after every
-run) with the checkouts' git heads and, per run, its wall time and the last
-two lines that bench/run.py printed: its environment line and its result
-line. A run that exits nonzero or prints no result is stored too, with its
+run) with the checkouts' git heads and, per run, its wall time, its minor
+page faults and system CPU time (the RUSAGE_CHILDREN deltas around the
+bench/run.py process) and the last two lines that bench/run.py printed: its
+environment line and its result line. A run that exits nonzero or prints no result is stored too, with its
 exit code and the last 20 lines of its stderr, and the series goes on. At the
 end it prints, per workload and seed, the runs that failed, each side's total
 of failed and attempted operations over all its other runs, every run that
-bench/run.py did not mark correct, and then each end-to-end metric's
+bench/run.py did not mark correct, each side's median minor page faults and
+system CPU time per run, and then each end-to-end metric's
 quartiles on each side over the pairs where both runs succeeded, the number
 of pairs the change won, and whether the change's median is within the
 metric's `bound` in BENCHMARK.json: no worse than the parent's median by more
@@ -27,6 +29,7 @@ failed.
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,18 +51,22 @@ def parse_run(spec: str) -> tuple[str, int, int, int]:
 
 
 def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One bench/run.py run: its wall time and its environment and result
-    lines or, when it fails, its exit code and the tail of its stderr."""
+    """One bench/run.py run: its wall time, minor page faults and system CPU
+    time, and its environment and result lines or, when it fails, its exit
+    code and the tail of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = round(time.perf_counter() - t0, 3)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"wall_s": wall, "minflt": after.ru_minflt - before.ru_minflt,
+             "sys_s": round(after.ru_stime - before.ru_stime, 3)}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and len(lines) >= 2 and lines[-2].startswith("env "):
-        return {"wall_s": wall, "env_line": lines[-2], "result_line": lines[-1]}
-    return {"wall_s": wall, "exit_code": proc.returncode,
-            "stderr_tail": proc.stderr.splitlines()[-20:]}
+        return {**usage, "env_line": lines[-2], "result_line": lines[-1]}
+    return {**usage, "exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
 
 
 def within_bound(parent: float, change: float, better: str, bound: float) -> bool:
@@ -86,9 +93,19 @@ def failures(runs: list[dict]) -> str:
             + "; correct: false in " + (", ".join(wrong) or "no run"))
 
 
+def usage(runs: list[dict]) -> str:
+    """Each side's median minor page faults and system CPU time per untraced run."""
+    sides = {side: [r for r in runs if r["side"] == side and not r["trace"] and "minflt" in r]
+             for side in ("parent", "change")}
+    return ("  median minor faults / sys s per run: "
+            + " -> ".join(f"{side} " + ("/".join(f"{statistics.median(r[k] for r in rs):.4g}"
+                                                 for k in ("minflt", "sys_s")) if rs else "none")
+                          for side, rs in sides.items()))
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> None:
-    """Prints, per workload and seed, the failed runs and the failure counts
-    and then, per metric, q1/median/q3 per side, the pairs the change won
+    """Prints, per workload and seed, the failed runs, the failure counts and
+    the median page faults and system time and then, per metric, q1/median/q3 per side, the pairs the change won
     and, against the metric's `bound`, whether the change's median is within
     it."""
     groups: dict[tuple, list[dict]] = {}
@@ -104,6 +121,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> None:
         print("  failed runs: " + (", ".join(f"pair {r['pair']} {r['side']} (exit {r['exit_code']})"
                                              for r in group if "exit_code" in r) or "none"))
         print(failures(group))
+        print(usage(group))
         if not done:
             continue
         for metric in metrics:

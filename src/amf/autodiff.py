@@ -106,11 +106,21 @@ class Tensor:
             stack.extend(t._parents)
         self.grad = np.ones(self.data.shape, dtype=np.float64)
         for t in sorted(nodes, key=lambda n: n._id, reverse=True):
-            if t._backward is not None and t.grad is not None:
+            if t._backward is None:  # a leaf keeps its gradient
+                continue
+            if t.grad is not None:
                 t._backward()
+            # drop the swept node's gradient and the arrays its closure saved
+            t.grad = None
+            t._backward = _released
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _released() -> None:
+    """The ``_backward`` of a node that a sweep has already gone through."""
+    raise UsageError("backward through a graph that was already swept; build the loss again")
 
 
 def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:

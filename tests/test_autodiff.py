@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,6 +21,17 @@ F = st.floats(-10, 10, allow_nan=False, width=32)
 def _rand(shape, seed=0, requires_grad=False, dtype=np.float64):
     data = new_rng(seed).normal(0, 1, size=shape).astype(dtype)
     return Tensor(data, requires_grad=requires_grad)
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root``."""
+    nodes, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    return list(nodes.values())
 
 
 class TestSoftmax:
@@ -210,23 +222,76 @@ class TestBackward:
         max_rel = _run_case([a, w], build, "f64", eps=1e-6)
         assert max_rel < 1e-6, max_rel
 
-    def test_no_two_tensors_share_a_grad_buffer(self):
+    def test_no_two_tensors_share_a_grad_buffer(self, monkeypatch):
+        """An array an op hands over with ``owned=True`` shares no memory with
+        any gradient still live when the tensor keeps it."""
         model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
         loss = ad.cross_entropy(model.forward(_rand((2, 1, 8, 8), dtype=np.float32)).logits,
                                 np.array([0, 2]))
+        nodes = _graph(loss)
+        kept = []
+        accumulate = Tensor._accumulate
+
+        def checked(t, g, owned=False):
+            if owned and t.grad is None:
+                for other in nodes:
+                    assert other.grad is None or not np.shares_memory(g, other.grad)
+                kept.append(g)
+            accumulate(t, g, owned)
+
+        monkeypatch.setattr(Tensor, "_accumulate", checked)
         model.zero_grads()
         loss.backward()
-        nodes, stack = {}, [loss, *model.params.values()]
-        while stack:
-            t = stack.pop()
-            if id(t) not in nodes:
-                nodes[id(t)] = t
-                stack.extend(t._parents)
-        grads = [t.grad for t in nodes.values() if t.grad is not None]
-        assert len(grads) > len(model.params)
-        for i, a in enumerate(grads):
-            for b in grads[i + 1:]:
-                assert not np.shares_memory(a, b)
+        assert len(kept) > len(model.params)
+
+    def test_second_sweep_through_a_released_node_raises(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        y = ad.relu(x)
+        loss = ad.sum_all(y)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
+        with pytest.raises(UsageError, match="already swept"):
+            loss.backward()
+        with pytest.raises(UsageError, match="already swept"):
+            ad.sum_all(y).backward()
+
+    def test_second_sweep_through_memoized_amf_parts_raises(self):
+        """After ``_run_case`` has swept the memoized policy output and branch
+        latents, a loss built on them cannot be swept again."""
+        model, x, labels = gradsuite._amf_case(0, "f64")
+        build = gradsuite._amf_loss(model, x, labels)
+        # only the classifier moves, so every memoized part stays the swept one
+        head = [t for k, t in model.params.items() if k.startswith("classifier.")]
+        _run_case(head, build, "f64", max_coords=2)
+        model.zero_grads()
+        with pytest.raises(UsageError, match="already swept"):
+            build().backward()
+
+    def test_swept_graph_holds_no_interior_grad_or_closure(self):
+        """After one sweep the graph holds its node data and the leaf
+        gradients, and nothing else: no interior gradient, no saved array."""
+        model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
+        x = _rand((2, 1, 8, 8), dtype=np.float32)
+        model.zero_grads()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = ad.cross_entropy(model.forward(x).logits, np.array([0, 2]))
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        interior = [t for t in _graph(loss) if t._backward is not None]
+        assert interior
+        for t in interior:
+            assert t.grad is None and t._backward is ad._released
+        assert all(t.grad is not None for t in model.params.values())
+        # the Tensor, ndarray and parent-tuple objects of a node take about
+        # 450 bytes; a retained closure's arrays or interior grads take
+        # several times the allowance
+        allowance = 1024 * len(interior)
+        assert held <= (sum(t.data.nbytes for t in interior)
+                        + sum(t.grad.nbytes for t in model.params.values()) + allowance)
 
 
 class TestGradSuite:
@@ -290,8 +355,9 @@ class TestGraphLifetime:
             loss = ad.cross_entropy(res.logits, np.array([0, 2]))
             model.zero_grads()
             loss.backward()
-            # interior gradients stay readable while the caller holds the graph
-            assert res.logits.grad is not None
+            # the sweep drops interior gradients and keeps the leaves'
+            assert res.logits.grad is None
+            assert all(t.grad is not None for t in model.params.values())
         return weakref.ref(res.logits)
 
     @pytest.mark.parametrize("train", [True, False], ids=["backward", "forward_only"])
