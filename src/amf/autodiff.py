@@ -19,13 +19,22 @@ Design notes that the gradient checks rely on:
   ``owned=True``, which it does only for a fresh C-ordered float64 array that
   nothing else references (never ``out.grad``, a view of it, or an array
   captured from the forward pass); the tensor then keeps that array as its
-  ``.grad`` and later accumulations add into it.
+  ``.grad`` and later accumulations add into it. A handed-over array thus
+  never shares memory with another live gradient.
 - Each op's backward closure reaches its output tensor through a weak
   reference, so a graph holds no reference cycle and is freed by reference
   counting as soon as its caller drops the last tensor of it, without
   waiting for the cyclic garbage collector. ``Tensor.backward`` keeps every
   node alive while the sweep runs, so the reference is never dead inside a
   closure.
+- A sweep does not retain the graph. Once an interior node's closure has run,
+  or no gradient reached it, its ``.grad`` is set to ``None`` and its
+  ``_backward`` is replaced by a marker, which frees the forward arrays the
+  closure saved (im2col patches, pooled row maxima, softmax outputs). Leaves
+  (parameters and inputs) keep their ``.grad``. So a swept graph holds only
+  its node data until the caller drops it, and a later sweep that carries a
+  gradient into a swept node raises ``UsageError``: build the loss again
+  rather than sweep a graph twice.
 """
 
 from __future__ import annotations
@@ -91,7 +100,8 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse sweep from a scalar node; fills .grad on every reachable tensor."""
+        """Reverse sweep from a scalar node: accumulates into the .grad of every
+        reachable leaf, and releases each interior node once it is swept."""
         if self.data.size != 1:
             raise UsageError(f"backward requires a scalar loss, got shape {self.shape}")
         nodes: list[Tensor] = []
@@ -228,9 +238,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         # g2 is [n*h*w, f]: BLAS kernels for small matrices sum in an order
         # that depends on operand layout, and this one gives the same bits as
         # a sample-major patch matrix at every shape of the reference run
+        nonlocal cols
         grad = out_ref().grad
         g = grad.transpose(0, 2, 3, 1)
         g2 = g.reshape(n * h * wd, f)
+        if w.requires_grad:
+            w._accumulate((g2.T @ cols.T).reshape(f, c, 3, 3), owned=True)
+        if bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
+        # the patches are freed as soon as dw has used them, before the dx
+        # buffers are allocated, which can then reuse their memory. Freed only
+        # when the sweep released the node, they left a free block at the top
+        # of the heap that glibc trimmed and the next step faulted back in
+        cols = None
         if x.requires_grad:
             # patch gradients laid out on the padded grid, output (y, x) at
             # padded (y, x): kernel offset (i, j) is then a flat shift of
@@ -246,10 +266,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
                 dxp[:, shift:] += dcols[:, k, : size - shift]
             dxp = dxp.reshape(c, n, h + 2, wd + 2)
             x._accumulate(dxp[:, :, 1 : h + 1, 1 : wd + 1].transpose(1, 0, 2, 3))
-        if w.requires_grad:
-            w._accumulate((g2.T @ cols.T).reshape(f, c, 3, 3), owned=True)
-        if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)), owned=True)
 
     out._backward = _backward
     return out
