@@ -14,8 +14,9 @@ drift of the machine's speed falls on both sides. The runs go to BENCH_<label>.j
 run) with the checkouts' git heads and, per run, its wall time, its minor
 page faults and system CPU time (the RUSAGE_CHILDREN deltas around the
 bench/run.py process) and the last two lines that bench/run.py printed: its
-environment line and its result line. A run that exits nonzero or prints no result is stored too, with its
-exit code and the last 20 lines of its stderr, and the series goes on. At the
+environment line and its result line. A run that exits nonzero or prints no
+result is stored too, with its exit code and the last 20 lines of its
+stderr, and the series goes on. At the
 end it prints, per workload and seed, the runs that failed, each side's total
 of failed and attempted operations over all its other runs, every run that
 bench/run.py did not mark correct, each side's median minor page faults and
@@ -94,8 +95,9 @@ def failures(runs: list[dict]) -> str:
 
 
 def usage(runs: list[dict]) -> str:
-    """Each side's median minor page faults and system CPU time per untraced run."""
-    sides = {side: [r for r in runs if r["side"] == side and not r["trace"] and "minflt" in r]
+    """Each side's median minor page faults and system CPU time per untraced
+    run that printed a result."""
+    sides = {side: [r for r in runs if r["side"] == side and not r["trace"] and "result_line" in r]
              for side in ("parent", "change")}
     return ("  median minor faults / sys s per run: "
             + " -> ".join(f"{side} " + ("/".join(f"{statistics.median(r[k] for r in rs):.4g}"
@@ -105,9 +107,9 @@ def usage(runs: list[dict]) -> str:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> None:
     """Prints, per workload and seed, the failed runs, the failure counts and
-    the median page faults and system time and then, per metric, q1/median/q3 per side, the pairs the change won
-    and, against the metric's `bound`, whether the change's median is within
-    it."""
+    the median page faults and system time and then, per metric,
+    q1/median/q3 per side, the pairs the change won and, against the metric's
+    `bound`, whether the change's median is within it."""
     groups: dict[tuple, list[dict]] = {}
     for r in runs:
         groups.setdefault((r["workload"], r["seed"]), []).append(r)

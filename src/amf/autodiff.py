@@ -30,11 +30,12 @@ Design notes that the gradient checks rely on:
 - A sweep does not retain the graph. Once an interior node's closure has run,
   or no gradient reached it, its ``.grad`` is set to ``None`` and its
   ``_backward`` is replaced by a marker, which frees the forward arrays the
-  closure saved (im2col patches, pooled row maxima, softmax outputs). Leaves
-  (parameters and inputs) keep their ``.grad``. So a swept graph holds only
-  its node data until the caller drops it, and a later sweep that carries a
-  gradient into a swept node raises ``UsageError``: build the loss again
-  rather than sweep a graph twice.
+  closure saved (im2col patches, pooled row maxima, softmax outputs);
+  ``conv2d`` frees its patches earlier, inside its closure, once the weight
+  gradient has used them. Leaves (parameters and inputs) keep their
+  ``.grad``. So a swept graph holds only its node data until the caller drops
+  it, and a later sweep that carries a gradient into a swept node raises
+  ``UsageError``: build the loss again rather than sweep a graph twice.
 """
 
 from __future__ import annotations

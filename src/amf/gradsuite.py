@@ -23,7 +23,10 @@ rebuild would compute, and the losses stay bit-identical to rebuilding the
 whole forward. No invalidation is needed: a perturbation, its restore and the
 f32 mode's promotion to float64 each change the key of exactly the parts
 they touch. The fusion, the classifier and the cross-entropy are always
-rebuilt.
+rebuilt. A cache hit may return a part that the analytic-gradient sweep has
+already released; the finite differences read only its ``.data``, and a
+backward through such a part raises ``UsageError`` rather than give wrong
+gradients.
 """
 
 from __future__ import annotations
