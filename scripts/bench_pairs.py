@@ -22,10 +22,10 @@ of failed and attempted operations over all its other runs, every run that
 bench/run.py did not mark correct, each side's median minor page faults and
 system CPU time per run, and then each end-to-end metric's
 quartiles on each side over the pairs where both runs succeeded, the number
-of pairs the change won, and whether the change's median is within the
-metric's `bound` in BENCHMARK.json: no worse than the parent's median by more
-than that fraction, in the metric's `better` direction. It exits 1 if any run
-failed.
+of pairs the change won, the change's median as a percent change from the
+parent's, and whether it is within the metric's `bound` in BENCHMARK.json (printed as a
+percent beside it): no worse than the parent's median by more than that
+fraction, in the metric's `better` direction. It exits 1 if any run failed.
 """
 
 import argparse
@@ -108,8 +108,8 @@ def usage(runs: list[dict]) -> str:
 def summarize(runs: list[dict], metrics: list[dict]) -> None:
     """Prints, per workload and seed, the failed runs, the failure counts and
     the median page faults and system time and then, per metric,
-    q1/median/q3 per side, the pairs the change won and, against the metric's
-    `bound`, whether the change's median is within it."""
+    q1/median/q3 per side, the pairs the change won, the percent change of
+    the median and, beside the metric's `bound`, whether it is within it."""
     groups: dict[tuple, list[dict]] = {}
     for r in runs:
         groups.setdefault((r["workload"], r["seed"]), []).append(r)
@@ -134,9 +134,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> None:
             won = sum(sign * (p["change"][name]["value"] - p["parent"][name]["value"]) > 0 for p in done)
             medians = {side: statistics.median(v) for side, v in vals.items()}
             ok = within_bound(medians["parent"], medians["change"], direction, metric["bound"])
+            change = 100 * (medians["change"] / medians["parent"] - 1) if medians["parent"] else float("nan")
             print(f"  {name}: " + " -> ".join("/".join(f"{x:.4g}" for x in (q[0], medians[side], q[2]))
-                                              for side, q in quart.items()) + f", won {won}/{len(done)}, "
-                  + ("within" if ok else "OUTSIDE") + f" bound {metric['bound']:g} ({direction} is better)")
+                                              for side, q in quart.items())
+                  + f", won {won}/{len(done)}, median {change:+.1f}% "
+                  + ("within" if ok else "OUTSIDE") + f" bound {100 * metric['bound']:g}% ({direction} is better)")
 
 
 def main(argv=None) -> int:

@@ -122,15 +122,12 @@ def cmd_train(args) -> int:
 
 
 def _eval_line(arch: str, report) -> str:
-    # fixed field order: arch, top1_overall, top1_mode0, top1_mode1, loss,
-    # assign_overall, assign_mode0, assign_mode1
-    fields = {
-        "arch": arch,
-        "top1_overall": round(report.top1_overall, 6),
-        "top1_mode0": round(report.top1_per_mode.get(0, float("nan")), 6),
-        "top1_mode1": round(report.top1_per_mode.get(1, float("nan")), 6),
-        "loss": round(report.loss, 6),
-    }
+    # field order: arch, top1_overall, one top1_mode{m} per mode in the split,
+    # loss, then assign_overall and one assign_mode{m} per mode when assigned
+    fields = {"arch": arch, "top1_overall": round(report.top1_overall, 6)}
+    for m, v in sorted(report.top1_per_mode.items()):
+        fields[f"top1_mode{m}"] = round(v, 6)
+    fields["loss"] = round(report.loss, 6)
     if report.assignment_overall is not None:
         fields["assign_overall"] = round(report.assignment_overall, 6)
         for m, v in sorted(report.assignment_per_mode.items()):

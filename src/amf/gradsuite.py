@@ -13,6 +13,11 @@ Two precision modes:
   otherwise swamp small-gradient coordinates, while still validating the
   32-bit implementation's gradients.
 
+In both modes the analytic gradients come from one ordinary forward and
+backward, and every central-difference loss is built forward-only, inside
+``autodiff.no_grad``: it keeps no closure, parent or saved array, and its
+value is bit-equal to the same loss built with a graph.
+
 The model-loss check evaluates the loss twice per checked coordinate, and a
 coordinate belongs to exactly one of the policy, one branch or the
 classifier. The policy output and each branch latent are therefore memoized
@@ -26,7 +31,9 @@ they touch. The fusion, the classifier and the cross-entropy are always
 rebuilt. A cache hit may return a part that the analytic-gradient sweep has
 already released; the finite differences read only its ``.data``, and a
 backward through such a part raises ``UsageError`` rather than give wrong
-gradients.
+gradients. A part rebuilt during the differences is a forward-only constant,
+so only the first loss of a builder, the one ``_run_case`` sweeps, carries
+gradients to every part.
 """
 
 from __future__ import annotations
@@ -132,21 +139,22 @@ def _run_case(params, build_loss, mode, max_coords=None, pick_seed=0, eps=None,
     analytic = [np.array(p.grad if p.grad is not None else np.zeros(p.shape)) for p in params]
     pick = new_rng(pick_seed)
     max_rel = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        idxs = np.arange(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            idxs = pick.permutation(flat.size)[:max_coords]
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(build_loss().data)
-            flat[i] = orig - eps
-            f_minus = float(build_loss().data)
-            flat[i] = orig
-            num = (f_plus - f_minus) / (2 * eps)
-            an = a.reshape(-1)[i]
-            max_rel = max(max_rel, abs(an - num) / max(abs(an), abs(num), 1e-8))
+    with ad.no_grad():
+        for p, a in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            idxs = np.arange(flat.size)
+            if max_coords is not None and flat.size > max_coords:
+                idxs = pick.permutation(flat.size)[:max_coords]
+            for i in idxs:
+                orig = flat[i]
+                flat[i] = orig + eps
+                f_plus = float(build_loss().data)
+                flat[i] = orig - eps
+                f_minus = float(build_loss().data)
+                flat[i] = orig
+                num = (f_plus - f_minus) / (2 * eps)
+                an = a.reshape(-1)[i]
+                max_rel = max(max_rel, abs(an - num) / max(abs(an), abs(num), 1e-8))
     return max_rel
 
 

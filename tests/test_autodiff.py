@@ -294,6 +294,122 @@ class TestBackward:
                         + sum(t.grad.nbytes for t in model.params.values()) + allowance)
 
 
+def _fields(res) -> list[bytes]:
+    """The bytes of every array a ForwardResult carries."""
+    return [t.data.tobytes() for t in (res.probs, res.logits, res.fused, res.weights, *res.latents)]
+
+
+class TestNoGrad:
+    def test_nests_and_restores_the_previous_mode_when_the_body_raises(self):
+        assert ad.is_grad_enabled()
+        with ad.no_grad():
+            assert not ad.is_grad_enabled()
+            with ad.no_grad():
+                assert not ad.is_grad_enabled()
+            assert not ad.is_grad_enabled()
+            with pytest.raises(ValueError):
+                with ad.no_grad():
+                    raise ValueError
+            assert not ad.is_grad_enabled()
+        assert ad.is_grad_enabled()
+        with pytest.raises(ValueError):
+            with ad.no_grad():
+                raise ValueError
+        assert ad.is_grad_enabled()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_has_no_closure_or_parent_and_the_same_bits(self, dtype):
+        model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
+        x = _rand((2, 1, 8, 8), dtype=dtype)
+        labels = np.array([0, 2])
+        res = model.forward(x)
+        loss = ad.cross_entropy(res.logits, labels)
+        with ad.no_grad():
+            fres = model.forward(x)
+            floss = ad.cross_entropy(fres.logits, labels)
+        for t in (floss, fres.probs, fres.logits, fres.fused, fres.weights, *fres.latents):
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        assert _fields(fres) == _fields(res)
+        assert floss.data.tobytes() == loss.data.tobytes()
+        assert all(t.requires_grad for t in model.params.values())
+
+    def test_backward_from_a_forward_only_loss_raises(self):
+        model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
+        model.zero_grads()
+        with ad.no_grad():
+            loss = ad.cross_entropy(model.forward(_rand((2, 1, 8, 8))).logits, np.array([0, 2]))
+        with pytest.raises(UsageError, match="requires no grad"):
+            loss.backward()
+        assert all(t.grad is None for t in model.params.values())
+
+    def test_backward_from_inputs_that_require_no_grad_raises(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        loss = ad.sum_all(ad.relu(x))
+        assert loss._parents == () and loss._backward is None
+        with pytest.raises(UsageError, match="requires no grad"):
+            loss.backward()
+        assert x.grad is None
+
+
+class TestSharedPatches:
+    """``conv2d`` builds an input's im2col patches once while a closure holds them."""
+
+    @staticmethod
+    def _count_im2col(monkeypatch) -> list:
+        built = []
+        im2col = ad._im2col
+
+        def counted(data):
+            built.append(data)
+            return im2col(data)
+        monkeypatch.setattr(ad, "_im2col", counted)
+        return built
+
+    def test_amf_forward_builds_the_first_layer_patches_once(self, monkeypatch):
+        model = AMFModel(n=3, d=4, num_classes=3, image_hw=8, seed=0)
+        x = _rand((2, 1, 8, 8), dtype=np.float32)
+        labels = np.array([0, 2])
+        built = self._count_im2col(monkeypatch)
+        loss = ad.cross_entropy(model.forward(x).logits, labels)
+        # the policy conv and three branch conv1s read x; three conv2s read their own input
+        assert sum(d is x.data for d in built) == 1
+        assert len(built) == 4
+        model.zero_grads()
+        loss.backward()
+        # the last closure that held the shared patches has freed them
+        assert x._patches[1]() is None
+        shared = [loss.data.tobytes()] + [t.grad.tobytes() for t in model.params.values()]
+
+        # every conv building its own patches gives the same bits
+        monkeypatch.setattr(ad, "_patches", lambda t: ad._im2col(t.data))
+        model.zero_grads()
+        loss = ad.cross_entropy(model.forward(x).logits, labels)
+        loss.backward()
+        assert shared == [loss.data.tobytes()] + [t.grad.tobytes() for t in model.params.values()]
+
+    def test_rebuilt_after_data_is_reassigned(self, monkeypatch):
+        model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
+        x = _rand((2, 1, 8, 8), dtype=np.float32)
+        res = model.forward(x)  # alive, so its closures hold x's float32-built patches
+        x.data = x.data.astype(np.float64)
+        built = self._count_im2col(monkeypatch)
+        promoted = model.forward(x)
+        assert sum(d is x.data for d in built) == 1
+        assert _fields(promoted) == _fields(model.forward(Tensor(x.data.copy())))
+        assert res.logits.dtype == np.float32
+
+    def test_rebuilt_after_an_in_place_change_once_the_graph_is_dropped(self, monkeypatch):
+        model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
+        x = _rand((2, 1, 8, 8), dtype=np.float32)
+        res = model.forward(x)
+        del res
+        x.data[0, 0, 3, 3] += 1.0
+        built = self._count_im2col(monkeypatch)
+        changed = model.forward(x)
+        assert sum(d is x.data for d in built) == 1
+        assert _fields(changed) == _fields(model.forward(Tensor(x.data.copy())))
+
+
 class TestGradSuite:
     @pytest.mark.parametrize("entry", [
         lambda mode: gradsuite.check_primitive("matmul", 0, mode),

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 
@@ -5,6 +6,7 @@ import pytest
 
 from amf import gradsuite
 from amf.cli import (
+    _eval_line,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DIVERGED,
@@ -15,7 +17,12 @@ from amf.cli import (
     EXIT_USAGE,
     main,
 )
+from amf.data import Split
 from amf.errors import DataError, ShapeError, UsageError
+from amf.harness import EvalReport, evaluate
+from amf.models import AMFModel
+
+from conftest import TINY_SPEC
 
 CONFIG = """
 data.k_a = 2
@@ -109,6 +116,24 @@ class TestPipeline:
             assert rc == EXIT_OK
             artifacts.append([(out / f).read_bytes() for f in ("single_monitor.csv", "single_best.ckpt")])
         assert artifacts[0] == artifacts[1]
+
+
+class TestEvalLine:
+    def test_two_modes_keep_the_field_order(self):
+        report = EvalReport(top1_overall=0.5, top1_per_mode={1: 0.75, 0: 0.25}, loss=1.25,
+                            assignment_overall=0.5, assignment_per_mode={0: 1.0, 1: 0.0})
+        assert _eval_line("amf", report) == (
+            '{"arch": "amf", "top1_overall": 0.5, "top1_mode0": 0.25, "top1_mode1": 0.75, '
+            '"loss": 1.25, "assign_overall": 0.5, "assign_mode0": 1.0, "assign_mode1": 0.0}')
+
+    def test_one_mode_split_has_one_top1_field(self, tiny_mixture):
+        val = tiny_mixture.val
+        keep = val.modes == 1
+        split = Split(val.images[keep], val.labels[keep], val.modes[keep])
+        model = AMFModel(n=2, d=8, num_classes=TINY_SPEC.num_classes, image_hw=8)
+        line = _eval_line("amf", evaluate(model, split))
+        assert "NaN" not in line
+        assert list(json.loads(line)) == ["arch", "top1_overall", "top1_mode1", "loss"]
 
 
 class TestExitCodes:

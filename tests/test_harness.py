@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amf import autodiff as ad
 from amf.data import gen_source_task
 from amf.errors import RunError, UsageError
 from amf.harness import (
@@ -107,6 +108,24 @@ class TestEvaluate:
         mean_h = evaluate(model, tiny_mixture.val).mean_h
         assert len(mean_h) == model.n == 2
         assert sum(mean_h) == pytest.approx(1.0, abs=1e-6)
+
+    def test_forward_only_and_returns_with_grad_mode_on(self, tiny_mixture, monkeypatch):
+        model = AMFModel(n=2, d=8, num_classes=TINY_SPEC.num_classes, image_hw=8)
+        forward, modes = model.forward, []
+
+        def recorded(x):
+            modes.append(ad.is_grad_enabled())
+            return forward(x)
+        monkeypatch.setattr(model, "forward", recorded)
+        evaluate(model, tiny_mixture.val, batch_size=4)
+        assert modes == [False] * -(-len(tiny_mixture.val) // 4) and ad.is_grad_enabled()
+
+        def failing(x):
+            raise RunError("forward failed")
+        monkeypatch.setattr(model, "forward", failing)
+        with pytest.raises(RunError):
+            evaluate(model, tiny_mixture.val)
+        assert ad.is_grad_enabled()
 
 
 class TestTrainLoop:
