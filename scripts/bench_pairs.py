@@ -23,9 +23,10 @@ bench/run.py did not mark correct, each side's median minor page faults and
 system CPU time per run, and then each end-to-end metric's
 quartiles on each side over the pairs where both runs succeeded, the number
 of pairs the change won, the change's median as a percent change from the
-parent's, and whether it is within the metric's `bound` in BENCHMARK.json (printed as a
-percent beside it): no worse than the parent's median by more than that
-fraction, in the metric's `better` direction. It exits 1 if any run failed.
+parent's, and whether it is within the metric's `bound` in BENCHMARK.json,
+printed as a percent beside it: no worse than the parent's median by more
+than that fraction, in the metric's `better` direction. It exits 1 if any
+run failed.
 """
 
 import argparse
@@ -134,7 +135,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> None:
             won = sum(sign * (p["change"][name]["value"] - p["parent"][name]["value"]) > 0 for p in done)
             medians = {side: statistics.median(v) for side, v in vals.items()}
             ok = within_bound(medians["parent"], medians["change"], direction, metric["bound"])
-            change = 100 * (medians["change"] / medians["parent"] - 1) if medians["parent"] else float("nan")
+            change = 100 * (medians["change"] / medians["parent"] - 1)
             print(f"  {name}: " + " -> ".join("/".join(f"{x:.4g}" for x in (q[0], medians[side], q[2]))
                                               for side, q in quart.items())
                   + f", won {won}/{len(done)}, median {change:+.1f}% "

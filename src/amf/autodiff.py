@@ -18,9 +18,10 @@ Design notes that the gradient checks rely on:
 - ``Tensor._accumulate`` copies an incoming gradient unless the op passes
   ``owned=True``, which it does only for a fresh C-ordered float64 array that
   nothing else references (never the output gradient ``g`` its closure
-  receives, a view of it, or an array captured from the forward pass); the tensor then keeps that array as its
-  ``.grad`` and later accumulations add into it. A handed-over array thus
-  never shares memory with another live gradient.
+  receives, a view of it, or an array captured from the forward pass); the
+  tensor then keeps that array as its ``.grad`` and later accumulations add
+  into it. A handed-over array thus never shares memory with another live
+  gradient.
 - ``_op`` is the one place that decides whether an op's output joins the
   graph. It does only when grad mode is on and one of the op's inputs
   requires grad; the node then keeps its parents and a closure that reaches
@@ -42,10 +43,11 @@ Design notes that the gradient checks rely on:
   ``_backward`` is replaced by a marker, which frees the forward arrays the
   closure saved (im2col patches, pooled row maxima, softmax outputs);
   ``conv2d``'s closure drops its patches earlier, once the weight gradient
-  has used them, and the last closure that holds a shared matrix frees it. Leaves (parameters and inputs) keep their
-  ``.grad``. So a swept graph holds only its node data until the caller drops
-  it, and a later sweep that carries a gradient into a swept node raises
-  ``UsageError``: build the loss again rather than sweep a graph twice.
+  has used them, and the last closure that holds a shared matrix frees it.
+  Leaves (parameters and inputs) keep their ``.grad``. So a swept graph
+  holds only its node data until the caller drops it, and a later sweep that
+  carries a gradient into a swept node raises ``UsageError``: build the loss
+  again rather than sweep a graph twice.
 - ``conv2d`` shares one float64 im2col patch matrix between the convs that
   read the same input while a closure holds it (``_patches``), so the policy
   conv and each branch's first conv build the image's patches once per
