@@ -26,7 +26,7 @@ of pairs the change won, the change's median as a percent change from the
 parent's, and whether it is within the metric's `bound` in BENCHMARK.json,
 printed as a percent beside it: no worse than the parent's median by more
 than that fraction, in the metric's `better` direction. It exits 1 if any
-run failed.
+run failed, else 2 if any median is OUTSIDE its bound, else 0.
 """
 
 import argparse
@@ -106,11 +106,13 @@ def usage(runs: list[dict]) -> str:
                           for side, rs in sides.items()))
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> None:
+def summarize(runs: list[dict], metrics: list[dict]) -> bool:
     """Prints, per workload and seed, the failed runs, the failure counts and
     the median page faults and system time and then, per metric,
     q1/median/q3 per side, the pairs the change won, the percent change of
-    the median and, beside the metric's `bound`, whether it is within it."""
+    the median and, beside the metric's `bound`, whether it is within it.
+    Returns True when every median is within its bound."""
+    all_within = True
     groups: dict[tuple, list[dict]] = {}
     for r in runs:
         groups.setdefault((r["workload"], r["seed"]), []).append(r)
@@ -135,11 +137,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> None:
             won = sum(sign * (p["change"][name]["value"] - p["parent"][name]["value"]) > 0 for p in done)
             medians = {side: statistics.median(v) for side, v in vals.items()}
             ok = within_bound(medians["parent"], medians["change"], direction, metric["bound"])
+            all_within &= ok
             change = 100 * (medians["change"] / medians["parent"] - 1)
             print(f"  {name}: " + " -> ".join("/".join(f"{x:.4g}" for x in (q[0], medians[side], q[2]))
                                               for side, q in quart.items())
                   + f", won {won}/{len(done)}, median {change:+.1f}% "
                   + ("within" if ok else "OUTSIDE") + f" bound {100 * metric['bound']:g}% ({direction} is better)")
+    return all_within
 
 
 def main(argv=None) -> int:
@@ -171,8 +175,10 @@ def main(argv=None) -> int:
                 else:
                     print(f"{head}: {run['result_line']}", flush=True)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    summarize(doc["runs"], spec["end_to_end"])
-    return 1 if any("exit_code" in r for r in doc["runs"]) else 0
+    all_within = summarize(doc["runs"], spec["end_to_end"])
+    if any("exit_code" in r for r in doc["runs"]):
+        return 1
+    return 0 if all_within else 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Commands: gen-data, pretrain, train, eval, grad-check.
-Exit codes: 0 success; 1 grad-check failure; 2 bad config; 3 I/O error;
-4 corrupt checkpoint or dataset file, or architecture/checkpoint mismatch;
-5 non-finite training loss; 6 data value out of contract (DataError);
-7 invalid tensor shape (ShapeError); 8 API misuse (UsageError).
+Exit codes: 0 success; 1 grad-check failure; 2 bad config or argument;
+3 I/O error; 4 corrupt checkpoint or dataset file, or architecture/checkpoint
+mismatch; 5 non-finite training loss; 6 data value out of contract
+(DataError); 7 invalid tensor shape (ShapeError); 8 API misuse (UsageError).
 """
 
 from __future__ import annotations
@@ -163,6 +163,13 @@ def cmd_grad_check(args) -> int:
     return EXIT_GRADFAIL if failed else EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A seed argument: a non-negative integer, as ``data.seed`` in a config."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="amf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--ckpt", required=(ckpt == "required"), default=None)
         if out:
             sp.add_argument("--out", required=True)
-        sp.add_argument("--seed", type=int, default=None, help="override config seeds")
+        sp.add_argument("--seed", type=_seed, default=None, help="override config seeds")
 
     sp = sub.add_parser("gen-data", help="generate target and source dataset files")
     common(sp, out=True)

@@ -223,6 +223,8 @@ def run_suite(num_seeds: int = 100, mode: str = "f64",
               amf_seeds: int = 5, amf_coords: int = 20) -> list[dict]:
     """Run every primitive over ``num_seeds`` random instances plus the full
     model loss; returns one report dict per op."""
+    if num_seeds < 1 or amf_seeds < 1:
+        raise UsageError(f"need >= 1 seed per check, got num_seeds={num_seeds}, amf_seeds={amf_seeds}")
     tol = _mode(mode)[1]
     reports = []
     for op in OP_NAMES:

@@ -1,5 +1,6 @@
-"""Training workflows: source-task pretraining, transfer, fine-tuning, and
-the monitors (per-mode top-1, policy assignment accuracy, mean weighting).
+"""Training workflows: ``train``, the one epoch loop, for fine-tuning and for
+source-task pretraining (a ``single`` and a ``policy_pretrain`` run), transfer,
+and the monitors (per-mode top-1, policy assignment accuracy, mean weighting).
 """
 
 from __future__ import annotations
@@ -16,21 +17,13 @@ from .data import MixtureDataset, batches
 from .errors import ConfigError, RunError, UsageError
 from .models import (
     Model,
-    PolicyPretrainModel,
-    SingleModel,
     checkpoint_save,
+    group_prefixes,
     init_model,
     transfer_init,
     transfer_map_for,
 )
-from .optim import OptimizerState, ParamGroup, ScheduleSpec, build_groups, sgd_step
-
-def _monitor_header(n_h: int) -> str:
-    return ",".join(["epoch", "train_loss", "val_top1_mode0", "val_top1_mode1",
-                     *(f"mean_h_branch{i}" for i in range(n_h)), "assign_acc_mode0", "assign_acc_mode1"])
-
-
-MONITOR_HEADER = _monitor_header(2)
+from .optim import OptimizerState, ScheduleSpec, build_groups, sgd_step
 
 
 @dataclass
@@ -152,7 +145,8 @@ def _fmt(v) -> str:
 def monitor_csv(trace: MonitorTrace) -> str:
     """One row per epoch, with one mean-h column per branch (never fewer than two)."""
     n_h = max([2] + [len(r.val.mean_h) for r in trace.records if r.val.mean_h is not None])
-    lines = [_monitor_header(n_h)]
+    lines = [",".join(["epoch", "train_loss", "val_top1_mode0", "val_top1_mode1",
+                       *(f"mean_h_branch{i}" for i in range(n_h)), "assign_acc_mode0", "assign_acc_mode1"])]
     for r in trace.records:
         h = r.val.mean_h or []
         aa = r.val.assignment_per_mode or {}
@@ -163,44 +157,6 @@ def monitor_csv(trace: MonitorTrace) -> str:
             _fmt(aa.get(0)), _fmt(aa.get(1)),
         ]))
     return "\n".join(lines) + "\n"
-
-
-def _train_epochs(model: Model, groups: list[ParamGroup], train_split, val_split,
-                  epochs: int, batch_size: int, seed_data: int) -> tuple[MonitorTrace, dict]:
-    """Shared epoch loop; returns (monitor trace, best-val parameter snapshot)."""
-    state = OptimizerState(model)
-    trace = MonitorTrace()
-    best_top1, best_params = -1.0, None
-    saturated_epochs = 0
-    for epoch in range(epochs):
-        state.epoch = epoch
-        losses = []
-        for images, labels, _ in batches(train_split, batch_size, epoch_seed=seed_data * 1_000_003 + epoch):
-            res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
-            loss = ad.cross_entropy(res.logits, labels)
-            if not np.isfinite(loss.data):
-                raise RunError(f"non-finite loss at epoch {epoch}")
-            model.zero_grads()
-            loss.backward()
-            sgd_step(model, state, groups)
-            losses.append(float(loss.data) * len(labels))
-        train_loss = sum(losses) / len(train_split)
-
-        report = evaluate(model, val_split, batch_size)
-        if report.top1_overall > best_top1:
-            best_top1 = report.top1_overall
-            best_params = {k: t.data.copy() for k, t in model.params.items()}
-
-        trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
-        # dead-policy watch: one branch hogging all weight at chance accuracy
-        if report.assignment_overall is not None:  # implies mean_h is set
-            if max(report.mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
-                saturated_epochs += 1
-            else:
-                saturated_epochs = 0
-            if saturated_epochs == 20:
-                trace.warnings.append(f"dead policy network suspected at epoch {epoch}")
-    return trace, best_params
 
 
 @dataclass
@@ -217,27 +173,25 @@ class PretrainConfig:
 
 def pretrain(config: PretrainConfig, source: MixtureDataset,
              report: dict | None = None) -> dict[str, np.ndarray]:
-    """Train one branch extractor and one policy backbone on the source task.
+    """Train one branch extractor (arch ``single``) and one policy backbone
+    (arch ``policy_pretrain``) on the source task, each by one ``train`` run.
 
     Returns a checkpoint-style parameter dict with the classification heads
     stripped (names ``branch1.*`` and ``policy.conv.*``). When ``report`` is
     given, best source val top-1 values are stored under ``backbone_val`` and
     ``policy_val``.
     """
-    spec = source.spec
-    backbone = SingleModel(config.d, spec.num_classes, spec.channels, spec.image_hw, seed=config.seed_init)
-    groups = build_groups(
-        backbone,
-        {"backbone": ScheduleSpec(config.backbone_lr), "classifier": ScheduleSpec(config.backbone_lr)},
-        momentum=config.momentum,
-    )
-    backbone_trace, _ = _train_epochs(backbone, groups, source.train, source.val,
-                                      config.epochs, config.batch_size, config.seed_data)
+    def run(arch: str, lr: float, seed_data: int) -> tuple[Model, MonitorTrace, dict]:
+        spec = source.spec
+        return train(TrainConfig(arch=arch, n=1, d=config.d, num_classes=spec.num_classes,
+                                 in_channels=spec.channels, image_hw=spec.image_hw,
+                                 schedules={g: ScheduleSpec(lr) for g in group_prefixes(arch, 1)},
+                                 momentum=config.momentum, batch_size=config.batch_size,
+                                 epochs=config.epochs, seed_init=config.seed_init,
+                                 seed_data=seed_data, layer_scale=None), source)
 
-    policy = PolicyPretrainModel(spec.num_classes, spec.channels, spec.image_hw, seed=config.seed_init)
-    pgroups = [ParamGroup("all", list(policy.params), ScheduleSpec(config.policy_lr), config.momentum)]
-    policy_trace, _ = _train_epochs(policy, pgroups, source.train, source.val,
-                                    config.epochs, config.batch_size, config.seed_data + 1)
+    backbone, backbone_trace, _ = run("single", config.backbone_lr, config.seed_data)
+    policy, policy_trace, _ = run("policy_pretrain", config.policy_lr, config.seed_data + 1)
     if report is not None:
         report["backbone_val"] = backbone_trace.best_val_top1()
         report["policy_val"] = policy_trace.best_val_top1()
@@ -250,15 +204,46 @@ def pretrain(config: PretrainConfig, source: MixtureDataset,
 def train(config: TrainConfig, target: MixtureDataset,
           pretrained: dict[str, np.ndarray] | None = None
           ) -> tuple[Model, MonitorTrace, dict[str, np.ndarray]]:
-    """Full fine-tuning run; returns (final model, trace, best-val checkpoint)."""
+    """Full training run; returns (final model, trace, best-val checkpoint)."""
     model = init_model(config.arch, config.seed_init, config.num_classes, config.n,
                        config.d, config.in_channels, config.image_hw)
     if pretrained is not None:
         transfer_init(model, pretrained, transfer_map_for(model))
     groups = build_groups(model, config.schedules, config.momentum,
                           layer_scale_factor=config.layer_scale)
-    trace, best_params = _train_epochs(model, groups, target.train, target.val,
-                                       config.epochs, config.batch_size, config.seed_data)
+    state = OptimizerState(model)
+    trace = MonitorTrace()
+    best_top1, best_params = -1.0, None
+    saturated_epochs = 0
+    for epoch in range(config.epochs):
+        state.epoch = epoch
+        losses = []
+        for images, labels, _ in batches(target.train, config.batch_size,
+                                         epoch_seed=config.seed_data * 1_000_003 + epoch):
+            res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
+            loss = ad.cross_entropy(res.logits, labels)
+            if not np.isfinite(loss.data):
+                raise RunError(f"non-finite loss at epoch {epoch}")
+            model.zero_grads()
+            loss.backward()
+            sgd_step(model, state, groups)
+            losses.append(float(loss.data) * len(labels))
+        train_loss = sum(losses) / len(target.train)
+
+        report = evaluate(model, target.val, config.batch_size)
+        if report.top1_overall > best_top1:
+            best_top1 = report.top1_overall
+            best_params = {k: t.data.copy() for k, t in model.params.items()}
+
+        trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
+        # dead-policy watch: one branch hogging all weight at chance accuracy
+        if report.assignment_overall is not None:  # implies mean_h is set
+            if max(report.mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
+                saturated_epochs += 1
+            else:
+                saturated_epochs = 0
+            if saturated_epochs == 20:
+                trace.warnings.append(f"dead policy network suspected at epoch {epoch}")
     return model, trace, best_params
 
 

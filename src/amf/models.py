@@ -1,7 +1,7 @@
 """Model architectures: gated multi-branch network, static-fusion and
-single-backbone baselines and the policy pretraining model, each
-architecture's optimizer group layout, plus checkpoint I/O and transfer of
-pretrained backbone weights.
+single-backbone baselines and the policy pretraining model, each built by
+``init_model`` with its optimizer group layout in ``group_prefixes``, plus
+checkpoint I/O and transfer of pretrained backbone weights.
 
 Parameter naming convention (load-bearing for optimizer groups and transfer):
 
@@ -205,6 +205,8 @@ def group_prefixes(arch: str, n: int) -> dict[str, str]:
     """
     if arch == "single":
         return {"backbone": "branch1.", "classifier": "classifier."}
+    if arch == "policy_pretrain":
+        return {"policy": "policy.", "classifier": "classifier."}
     if arch not in ("amf", "multitune"):
         raise ConfigError(f"no group layout for arch {arch!r}")
     groups = [f"branch{i}" for i in range(1, n + 1)] + ["classifier"]
@@ -216,13 +218,16 @@ def group_prefixes(arch: str, n: int) -> dict[str, str]:
 def init_model(arch: str, seed: int, num_classes: int, n: int = 2, d: int = 64,
                in_channels: int = 1, image_hw: int = 16) -> Model:
     """Deterministic model factory. Classifier weights ~ N(0, 0.1), bias 0;
-    backbone weights use fan-in-scaled gaussians. ``single`` ignores ``n``."""
+    backbone weights use fan-in-scaled gaussians. ``single`` ignores ``n``;
+    ``policy_pretrain`` ignores ``n`` and ``d``."""
     if arch == "amf":
         return AMFModel(n, d, num_classes, in_channels, image_hw, seed)
     if arch == "multitune":
         return MultiTuneModel(n, d, num_classes, in_channels, image_hw, seed)
     if arch == "single":
         return SingleModel(d, num_classes, in_channels, image_hw, seed)
+    if arch == "policy_pretrain":
+        return PolicyPretrainModel(num_classes, in_channels, image_hw, seed)
     raise UsageError(f"unknown arch {arch!r}")
 
 

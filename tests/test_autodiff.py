@@ -421,6 +421,11 @@ class TestGradSuite:
         with pytest.raises(UsageError, match="unknown precision mode 'f16'"):
             entry("f16")
 
+    @pytest.mark.parametrize("seeds", [dict(num_seeds=0), dict(amf_seeds=0), dict(num_seeds=-1)])
+    def test_run_suite_needs_a_seed_per_check(self, seeds):
+        with pytest.raises(UsageError, match="need >= 1 seed"):
+            gradsuite.run_suite(**seeds)
+
     @staticmethod
     def _recorded(build, losses):
         def run():

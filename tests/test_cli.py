@@ -211,5 +211,21 @@ class TestExitCodes:
         assert main(["grad-check", "--seeds", "1"]) == code
         assert "injected" in capsys.readouterr().err
 
+    # a negative seed is rejected while parsing, with the exit code of an out-of-range data.seed
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "train"])
+    def test_negative_seed(self, workdir, tmp_path, capsys, command):
+        argv = [command, "--config", str(workdir / "run.cfg"), "--out", str(tmp_path / "out"), "--seed", "-3"]
+        if command != "gen-data":
+            argv += ["--data", str(workdir / "data/source.ds")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_grad_check_without_seeds(self, capsys):
+        assert main(["grad-check", "--seeds", "0"]) == EXIT_USAGE
+        assert "num_seeds=0" in capsys.readouterr().err
+
     def test_grad_check_ok(self):
         assert main(["grad-check", "--seeds", "3"]) == EXIT_OK

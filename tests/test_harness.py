@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from amf import autodiff as ad
 from amf.data import gen_source_task
-from amf.errors import RunError, UsageError
+from amf.errors import ConfigError, RunError, UsageError
 from amf.harness import (
-    MONITOR_HEADER,
     PretrainConfig,
     assignment_accuracy,
     evaluate,
@@ -144,7 +143,8 @@ class TestTrainLoop:
     def test_monitor_csv_layout(self, tiny_amf_run):
         _, trace, _ = tiny_amf_run
         lines = monitor_csv(trace).strip().split("\n")
-        assert lines[0] == MONITOR_HEADER
+        assert lines[0] == ("epoch,train_loss,val_top1_mode0,val_top1_mode1,"
+                            "mean_h_branch0,mean_h_branch1,assign_acc_mode0,assign_acc_mode1")
         assert len(lines) == 1 + len(trace.records)
         assert all(len(l.split(",")) == 8 for l in lines[1:])
 
@@ -182,6 +182,11 @@ class TestPretrainTransfer:
         _, report = source_ckpt
         assert 0.0 <= report["backbone_val"] <= 1.0
         assert 0.0 <= report["policy_val"] <= 1.0
+
+    def test_zero_epochs_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            pretrain(PretrainConfig(epochs=0, batch_size=8, d=8), gen_source_task(TINY_SPEC, seed=21),
+                     report={})
 
     def test_transfer_map_shapes(self):
         amf = AMFModel(n=3, d=8, num_classes=4, image_hw=8)

@@ -12,6 +12,7 @@ from amf.models import (
     CKPT_MAGIC,
     AMFModel,
     MultiTuneModel,
+    PolicyPretrainModel,
     SingleModel,
     checkpoint_load,
     checkpoint_save,
@@ -36,6 +37,16 @@ class TestInit:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_factory_builds_policy_pretrain_model(self, seed):
+        # n and d are ignored, as the class takes neither
+        a = init_model("policy_pretrain", seed, num_classes=4, n=3, d=8, image_hw=8)
+        b = PolicyPretrainModel(4, image_hw=8, seed=seed)
+        assert a.arch == "policy_pretrain"
+        assert list(a.params) == list(b.params)
+        for k in a.params:
+            np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
+
     def test_factory_rejects_unknown_arch(self):
         with pytest.raises(UsageError):
             init_model("resnet", 0, num_classes=4)
@@ -46,6 +57,7 @@ class TestInit:
         assert group_prefixes("multitune", 3) == {"branch1": "branch1.", "branch2": "branch2.",
                                                   "branch3": "branch3.", "classifier": "classifier."}
         assert group_prefixes("single", 1) == {"backbone": "branch1.", "classifier": "classifier."}
+        assert group_prefixes("policy_pretrain", 1) == {"policy": "policy.", "classifier": "classifier."}
         with pytest.raises(ConfigError):
             group_prefixes("resnet", 1)
 
