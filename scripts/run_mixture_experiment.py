@@ -21,17 +21,7 @@ def main() -> int:
 
     if args.json:
         payload = {
-            "per_seed": [
-                {
-                    "seed": r.seed,
-                    "source_val": r.source_val,
-                    "epoch0_mean_h": r.epoch0_mean_h,
-                    "amf": dataclasses.asdict(r.amf),
-                    "low": dataclasses.asdict(r.low),
-                    "high": dataclasses.asdict(r.high),
-                }
-                for r in result.per_seed
-            ],
+            "per_seed": [dataclasses.asdict(r) for r in result.per_seed],
             "means": {
                 "amf_top1": result.amf_mean_top1,
                 "low_top1": result.low_mean_top1,

@@ -44,8 +44,7 @@ class Split:
     """One dataset split held as arrays: ``images`` [N, C, H, W] float32,
     ``labels`` and ``modes`` [N] int64.
 
-    Supports ``len``, iteration (one ``Example`` per row, its image a view)
-    and slicing, which returns a ``Split`` of views.
+    Supports ``len`` and iteration (one ``Example`` per row, its image a view).
     """
 
     images: np.ndarray
@@ -64,11 +63,6 @@ class Split:
     def __iter__(self):
         for image, label, mode in zip(self.images, self.labels.tolist(), self.modes.tolist()):
             yield Example(image, label, mode)
-
-    def __getitem__(self, key: slice) -> Split:
-        if not isinstance(key, slice):
-            raise TypeError("a Split supports slicing only")
-        return Split(self.images[key], self.labels[key], self.modes[key])
 
 
 def _decode_noise(v: float) -> float:
@@ -311,8 +305,7 @@ def _read_idx(path: str, magic: int, what: str) -> tuple[tuple[int, ...], bytes]
         return dims, f.read(size)
 
 
-def load_idx(images_path: str, labels_path: str, limit: int | None = None,
-             mode_rule: str = "parity") -> Split:
+def load_idx(images_path: str, labels_path: str, mode_rule: str = "parity") -> Split:
     """Load an IDX image/label pair; pixels scaled to [0, 1] by /255.
 
     ``mode_rule``: "parity" assigns mode = label % 2, "single" assigns mode 0.
@@ -325,8 +318,6 @@ def load_idx(images_path: str, labels_path: str, limit: int | None = None,
         raise FormatError(f"image/label count mismatch: {count} vs {lcount}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols)
     labels = np.frombuffer(raw_labels, dtype=np.uint8)
-    if limit is not None:
-        images, labels = images[:limit], labels[:limit]
     labels = labels.astype(np.int64)
     modes = labels % 2 if mode_rule == "parity" else np.zeros_like(labels)
     scaled = np.divide(images, 255.0, out=np.empty(images.shape, np.float32),

@@ -20,6 +20,7 @@ from .models import (
     checkpoint_save,
     group_prefixes,
     init_model,
+    snapshot,
     transfer_init,
     transfer_map_for,
 )
@@ -176,10 +177,11 @@ def pretrain(config: PretrainConfig, source: MixtureDataset,
     """Train one branch extractor (arch ``single``) and one policy backbone
     (arch ``policy_pretrain``) on the source task, each by one ``train`` run.
 
-    Returns a checkpoint-style parameter dict with the classification heads
-    stripped (names ``branch1.*`` and ``policy.conv.*``). When ``report`` is
-    given, best source val top-1 values are stored under ``backbone_val`` and
-    ``policy_val``.
+    Returns each run's last-epoch weights as a checkpoint-style parameter
+    dict with the classification heads stripped (names ``branch1.*`` and
+    ``policy.conv.*``). When ``report`` is given, the source val top-1 of
+    those weights (each run's last epoch) is stored under ``backbone_val``
+    and ``policy_val``.
     """
     def run(arch: str, lr: float, seed_data: int) -> tuple[Model, MonitorTrace, dict]:
         spec = source.spec
@@ -193,12 +195,10 @@ def pretrain(config: PretrainConfig, source: MixtureDataset,
     backbone, backbone_trace, _ = run("single", config.backbone_lr, config.seed_data)
     policy, policy_trace, _ = run("policy_pretrain", config.policy_lr, config.seed_data + 1)
     if report is not None:
-        report["backbone_val"] = backbone_trace.best_val_top1()
-        report["policy_val"] = policy_trace.best_val_top1()
+        report["backbone_val"] = backbone_trace.records[-1].val.top1_overall
+        report["policy_val"] = policy_trace.records[-1].val.top1_overall
 
-    ckpt = {k: t.data.copy() for k, t in backbone.params.items() if not k.startswith("classifier.")}
-    ckpt.update({k: t.data.copy() for k, t in policy.params.items() if k.startswith("policy.conv.")})
-    return ckpt
+    return snapshot(backbone, "branch1.") | snapshot(policy, "policy.conv.")
 
 
 def train(config: TrainConfig, target: MixtureDataset,
@@ -233,7 +233,7 @@ def train(config: TrainConfig, target: MixtureDataset,
         report = evaluate(model, target.val, config.batch_size)
         if report.top1_overall > best_top1:
             best_top1 = report.top1_overall
-            best_params = {k: t.data.copy() for k, t in model.params.items()}
+            best_params = snapshot(model)
 
         trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
         # dead-policy watch: one branch hogging all weight at chance accuracy

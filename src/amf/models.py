@@ -1,7 +1,8 @@
 """Model architectures: gated multi-branch network, static-fusion and
 single-backbone baselines and the policy pretraining model, each built by
 ``init_model`` with its optimizer group layout in ``group_prefixes``, plus
-checkpoint I/O and transfer of pretrained backbone weights.
+parameter snapshots, checkpoint I/O and transfer of pretrained backbone
+weights.
 
 Parameter naming convention (load-bearing for optimizer groups and transfer):
 
@@ -286,10 +287,13 @@ def deserialize_params(blob: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def checkpoint_save(model_or_params, path: str) -> None:
-    params = model_or_params.params if isinstance(model_or_params, Model) else model_or_params
-    arrays = {k: (v.data if isinstance(v, Tensor) else v) for k, v in params.items()}
-    blob = serialize_params(arrays)
+def snapshot(model: Model, prefix: str = "") -> dict[str, np.ndarray]:
+    """Copies of the parameters whose names start with ``prefix``, in the model's order."""
+    return {k: t.data.copy() for k, t in model.params.items() if k.startswith(prefix)}
+
+
+def checkpoint_save(params: dict[str, np.ndarray], path: str) -> None:
+    blob = serialize_params(params)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(blob)

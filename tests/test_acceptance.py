@@ -48,6 +48,7 @@ from amf.models import (
     checkpoint_load,
     checkpoint_save,
     serialize_params,
+    snapshot,
 )
 from amf.optim import OptimizerState, ParamGroup, ScheduleSpec, lr_at_epoch, sgd_step
 
@@ -187,7 +188,7 @@ class TestCriterion6Formats:
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         m = AMFModel(n=2, d=8, num_classes=4, image_hw=8, seed=5)
         path = str(tmp_path / "m.ckpt")
-        checkpoint_save(m, path)
+        checkpoint_save(snapshot(m), path)
         loaded = checkpoint_load(path)
         for k, t in m.params.items():
             np.testing.assert_array_equal(loaded[k], t.data)
@@ -203,7 +204,7 @@ class TestCriterion6Formats:
     def test_corrupt_headers_rejected(self, tmp_path):
         ds_path, ck_path = str(tmp_path / "t.ds"), str(tmp_path / "m.ckpt")
         dataset_save(gen_mixture(TINY_SPEC), ds_path)
-        checkpoint_save(SingleModel(d=4, num_classes=2, image_hw=8), ck_path)
+        checkpoint_save(snapshot(SingleModel(d=4, num_classes=2, image_hw=8)), ck_path)
         for path, loader in ((ds_path, dataset_load), (ck_path, checkpoint_load)):
             blob = open(path, "rb").read()
             open(path, "wb").write(b"XXXXXXXX" + blob[8:])

@@ -15,7 +15,7 @@ import os
 from amf.data import MixtureSpec, dataset_save, gen_mixture, gen_source_task
 from amf.gradsuite import run_suite
 from amf.harness import PretrainConfig, pretrain, save_run_artifacts, train
-from amf.models import checkpoint_save
+from amf.models import checkpoint_save, snapshot
 from amf.optim import ScheduleSpec
 
 from conftest import TINY_SPEC, tiny_train_config
@@ -66,7 +66,7 @@ def golden_digests(out_dir: str) -> dict[str, str]:
     for name, cfg in runs.items():
         model, trace, best = train(cfg, target, pretrained)
         save_run_artifacts(trace, best, out_dir, name)
-        checkpoint_save(model, os.path.join(out_dir, f"{name}_final.ckpt"))
+        checkpoint_save(snapshot(model), os.path.join(out_dir, f"{name}_final.ckpt"))
     digests = {name: _sha256(os.path.join(out_dir, name)) for name in sorted(os.listdir(out_dir))}
     for mode in ("f64", "f32"):
         digests[f"gradsuite_{mode}"] = hashlib.sha256(_suite_bytes(mode)).hexdigest()

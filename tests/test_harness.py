@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amf import autodiff as ad
+from amf import harness
 from amf.data import gen_source_task
 from amf.errors import ConfigError, RunError, UsageError
 from amf.harness import (
@@ -182,6 +183,24 @@ class TestPretrainTransfer:
         _, report = source_ckpt
         assert 0.0 <= report["backbone_val"] <= 1.0
         assert 0.0 <= report["policy_val"] <= 1.0
+
+    def test_report_reads_the_weights_it_returns(self, monkeypatch):
+        # on this config the policy run's val top-1 falls in its last epoch
+        runs = []
+
+        def recording_train(*args, **kwargs):
+            runs.append(train(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        report = {}
+        ckpt = pretrain(PretrainConfig(epochs=2, batch_size=8, d=8, seed_init=3, seed_data=3),
+                        gen_source_task(TINY_SPEC, seed=1000, k_src=3), report=report)
+        (backbone, backbone_trace, _), (policy, policy_trace, _) = runs
+        assert report == {"backbone_val": backbone_trace.records[-1].val.top1_overall,
+                          "policy_val": policy_trace.records[-1].val.top1_overall}
+        for k, v in ckpt.items():
+            np.testing.assert_array_equal(v, (backbone if k.startswith("branch1.") else policy).params[k].data)
 
     def test_zero_epochs_is_a_config_error(self):
         with pytest.raises(ConfigError, match="epochs"):

@@ -21,8 +21,10 @@ from amf.models import (
     init_model,
     load_params_into,
     serialize_params,
+    snapshot,
     transfer_init,
 )
+from amf.optim import OptimizerState, ScheduleSpec, build_groups, sgd_step
 
 
 def _batch(n=4, hw=8, seed=0):
@@ -111,11 +113,35 @@ class TestForward:
                                    mt.forward(x).logits.data, atol=1e-5)
 
 
+class TestSnapshot:
+    def test_copies_survive_an_update(self):
+        m = AMFModel(n=2, d=8, num_classes=4, image_hw=8, seed=1)
+        snap = snapshot(m)
+        # sgd_step rebinds each parameter's array, so also rule out shared memory
+        assert not any(np.shares_memory(snap[k], t.data) for k, t in m.params.items())
+        before = {k: v.tobytes() for k, v in snap.items()}
+        loss = ad.cross_entropy(m.forward(_batch()).logits, np.array([0, 1, 2, 3]))
+        m.zero_grads()
+        loss.backward()
+        sgd_step(m, OptimizerState(m), build_groups(m, {g: ScheduleSpec(0.1) for g in group_prefixes("amf", 2)}))
+        assert any(snap[k].tobytes() != t.data.tobytes() for k, t in m.params.items())
+        assert {k: v.tobytes() for k, v in snap.items()} == before
+
+    def test_filters_by_prefix_in_model_order(self):
+        m = AMFModel(n=2, d=8, num_classes=4, image_hw=8, seed=1)
+        assert list(snapshot(m)) == list(m.params)
+        policy = snapshot(m, "policy.")
+        assert list(policy) == [k for k in m.params if k.startswith("policy.")] != []
+        for k, v in policy.items():
+            np.testing.assert_array_equal(v, m.params[k].data)
+        assert snapshot(m, "nothing.") == {}
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         m = AMFModel(n=2, d=8, num_classes=4, image_hw=8, seed=1)
         path = str(tmp_path / "m.ckpt")
-        checkpoint_save(m, path)
+        checkpoint_save(snapshot(m), path)
         loaded = checkpoint_load(path)
         assert set(loaded) == set(m.params)
         for k in loaded:
