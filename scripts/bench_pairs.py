@@ -23,10 +23,21 @@ bench/run.py did not mark correct, each side's median minor page faults and
 system CPU time per run, and then each end-to-end metric's
 quartiles on each side over the pairs where both runs succeeded, the number
 of pairs the change won, the change's median as a percent change from the
-parent's, and whether it is within the metric's `bound` in BENCHMARK.json,
-printed as a percent beside it: no worse than the parent's median by more
-than that fraction, in the metric's `better` direction. It exits 1 if any
-run failed, else 2 if any median is OUTSIDE its bound, else 0.
+parent's, the metric's `bound` in BENCHMARK.json as a percent, and one
+verdict, in the metric's `better` direction:
+
+  gain        at least 10 pairs, the change won at least 9 of every 10, and
+              its median beats the parent's by more than the distance
+              between the parent's quartiles;
+  OUTSIDE     the change's median is worse than the parent's by more than
+              the bound, as a fraction of the parent's median;
+  unresolved  the distance between the parent's quartiles exceeds the bound,
+              as a fraction of its median, and not every change run beats
+              every parent run: the runs spread too widely to tell;
+  within      otherwise: no worse than the bound allows.
+
+It exits 1 if any run failed, else 2 if any metric is OUTSIDE its bound,
+else 0.
 """
 
 import argparse
@@ -78,6 +89,26 @@ def within_bound(parent: float, change: float, better: str, bound: float) -> boo
     return change <= parent * (1 + bound)
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """q1, median and q3 of `values`, all the one value when there is only one."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
+def verdict(parent: list[float], change: list[float], won: int, better: str, bound: float) -> str:
+    """gain, OUTSIDE, unresolved or within, as the module docstring defines them."""
+    sign = 1 if better == "higher" else -1
+    q1, median, q3 = quartiles(parent)
+    change_median = statistics.median(change)
+    if len(parent) >= 10 and won >= 0.9 * len(parent) and sign * (change_median - median) > q3 - q1:
+        return "gain"
+    if not within_bound(median, change_median, better, bound):
+        return "OUTSIDE"
+    beats_every_run = all(sign * (c - p) > 0 for c in change for p in parent)
+    if q3 - q1 > bound * abs(median) and not beats_every_run:
+        return "unresolved"
+    return "within"
+
+
 def failures(runs: list[dict]) -> str:
     """Each side's failed/attempted operations summed over `runs`, and the runs
     whose result is not marked correct."""
@@ -110,8 +141,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> bool:
     """Prints, per workload and seed, the failed runs, the failure counts and
     the median page faults and system time and then, per metric,
     q1/median/q3 per side, the pairs the change won, the percent change of
-    the median and, beside the metric's `bound`, whether it is within it.
-    Returns True when every median is within its bound."""
+    the median, the metric's `bound` and the verdict. Returns True when no
+    metric is OUTSIDE its bound."""
     all_within = True
     groups: dict[tuple, list[dict]] = {}
     for r in runs:
@@ -132,17 +163,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> bool:
         for metric in metrics:
             name, direction = metric["name"], metric["better"]
             vals = {side: sorted(p[side][name]["value"] for p in done) for side in ("parent", "change")}
-            quart = {side: statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3 for side, v in vals.items()}
+            quart = {side: quartiles(v) for side, v in vals.items()}
             sign = 1 if direction == "higher" else -1
             won = sum(sign * (p["change"][name]["value"] - p["parent"][name]["value"]) > 0 for p in done)
-            medians = {side: statistics.median(v) for side, v in vals.items()}
-            ok = within_bound(medians["parent"], medians["change"], direction, metric["bound"])
-            all_within &= ok
-            change = 100 * (medians["change"] / medians["parent"] - 1)
-            print(f"  {name}: " + " -> ".join("/".join(f"{x:.4g}" for x in (q[0], medians[side], q[2]))
-                                              for side, q in quart.items())
-                  + f", won {won}/{len(done)}, median {change:+.1f}% "
-                  + ("within" if ok else "OUTSIDE") + f" bound {100 * metric['bound']:g}% ({direction} is better)")
+            found = verdict(vals["parent"], vals["change"], won, direction, metric["bound"])
+            all_within &= found != "OUTSIDE"
+            change = 100 * (quart["change"][1] / quart["parent"][1] - 1)
+            print(f"  {name}: " + " -> ".join("/".join(f"{x:.4g}" for x in q) for q in quart.values())
+                  + f", won {won}/{len(done)}, median {change:+.1f}%, bound {100 * metric['bound']:g}%"
+                  + f" ({direction} is better): {found}")
     return all_within
 
 

@@ -48,14 +48,10 @@ Design notes that the gradient checks rely on:
   holds only its node data until the caller drops it, and a later sweep that
   carries a gradient into a swept node raises ``UsageError``: build the loss
   again rather than sweep a graph twice.
-- ``conv2d`` shares one float64 im2col patch matrix between the convs that
-  read the same input while a closure holds it (``_patches``), so the policy
-  conv and each branch's first conv build the image's patches once per
-  step. Like every closure that reads its inputs' ``.data`` in the sweep,
-  this assumes that an input's ``.data`` is not changed in place while a
-  graph that read it is alive. Assign a new array instead, or drop the graph
-  first: a reassigned ``.data`` never matches, and the patches die with the
-  last closure that holds them.
+- ``conv2d`` takes an optional float64 im2col patch matrix of its input
+  (``im2col(x)``), so convs that read the same input can share one: the
+  models build the image's patches once per forward and pass them to the
+  policy conv and every branch's first conv.
 """
 
 from __future__ import annotations
@@ -111,8 +107,7 @@ class Tensor:
     visits each node exactly once after all of its consumers.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id", "_patches",
-                 "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id", "__weakref__")
 
     def __init__(
         self,
@@ -126,7 +121,6 @@ class Tensor:
         self._parents = _parents
         self._backward: Callable[[], None] | None = None  # set by the op that made it
         self._id = next(_ids)
-        self._patches = None  # weak (data, im2col matrix) pair, see _patches
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -259,11 +253,13 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _op(x.data + b.data, (x, b), _backward)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, cols: np.ndarray | None = None) -> Tensor:
     """3x3 / stride-1 / same-padding cross-correlation.
 
     The contraction over (channel, kernel row, kernel column) runs as one
     float64 GEMM over im2col patches, giving a single fixed reduction path.
+    ``cols`` is ``im2col(x)``, built here when not given; convs that read the
+    same input can pass one matrix, which no conv writes to.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and weights, got {x.shape}, {w.shape}")
@@ -276,7 +272,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (f,):
         raise ShapeError(f"bias shape {bias.shape} != ({f},)")
 
-    cols = _patches(x)
+    if cols is None:
+        cols = im2col(x)
+    elif cols.shape != (c * 9, n * h * wd):
+        raise ShapeError(f"patches shape {cols.shape} != ({c * 9}, {n * h * wd}) for input {x.shape}")
     w64 = w.data.reshape(f, c * 9).astype(np.float64)
     acc = w64 @ cols
     acc += bias.data.astype(np.float64)[:, None]
@@ -317,30 +316,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return _op(out_data, (x, w, bias), _backward)
 
 
-def _patches(x: Tensor) -> np.ndarray:
-    """The float64 im2col patch matrix of ``x``, shared between convs.
-
-    While an earlier conv's closure still holds the matrix built from the
-    same ``x.data`` object, that matrix is returned instead of a new one, so
-    the policy conv and every branch's first conv build the input's patches
-    once per step. ``x`` refers to the matrix and to the array it was built
-    from only weakly: it lives no longer than the closures that hold it, and
-    a reassigned ``x.data`` never matches.
-    """
-    if x._patches is not None:
-        data_ref, cols_ref = x._patches
-        cols = cols_ref()
-        if cols is not None and data_ref() is x.data:
-            return cols
-    cols = _im2col(x.data)
-    x._patches = (weakref.ref(x.data), weakref.ref(cols))
-    return cols
-
-
-def _im2col(data: np.ndarray) -> np.ndarray:
-    """K-major float64 patches of a 3x3 same-padded conv, cols[(ci, i, j),
-    (s, y, x)]: each of the nine kernel offsets is one slice copy of the
-    padded input."""
+def im2col(x: Tensor) -> np.ndarray:
+    """K-major float64 patches of a 3x3 same-padded conv of ``x``,
+    cols[(ci, i, j), (s, y, x)]: each of the nine kernel offsets is one slice
+    copy of the padded input."""
+    data = x.data
     n, c, h, wd = data.shape
     xp = np.zeros((c, n, h + 2, wd + 2), dtype=np.float64)
     xp[:, :, 1 : h + 1, 1 : wd + 1] = data.transpose(1, 0, 2, 3)

@@ -2,12 +2,13 @@
 
 Grammar: one `key = value` per line; blank lines and `#` comments ignored;
 whitespace around keys and values stripped; duplicate keys are an error;
-unknown keys are an error. Sections are dotted key prefixes (data.*, model.*,
-optim.*, train.*, pretrain.*).
+unknown keys are an error; float values must be finite. Sections are dotted
+key prefixes (data.*, model.*, optim.*, train.*, pretrain.*).
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError
@@ -76,7 +77,7 @@ def parse_config(text: str) -> dict:
             typed = parser(val)
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {val!r}")
-        if not check(typed):
+        if (isinstance(typed, float) and not math.isfinite(typed)) or not check(typed):
             raise ConfigError(f"value out of range for {key!r}: {val!r}")
         values[key] = typed
     return values

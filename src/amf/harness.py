@@ -231,6 +231,9 @@ def train(config: TrainConfig, target: MixtureDataset,
         train_loss = sum(losses) / len(target.train)
 
         report = evaluate(model, target.val, config.batch_size)
+        # the last step's weights are checked here, as no later loss reads them
+        if not np.isfinite(report.loss):
+            raise RunError(f"non-finite validation loss at epoch {epoch}")
         if report.top1_overall > best_top1:
             best_top1 = report.top1_overall
             best_params = snapshot(model)

@@ -77,11 +77,11 @@ class Model:
         self.params[f"{name}.w"] = _gaussian((c_out, c_in, 3, 3), _he_std(c_in * 9), seed)
         self.params[f"{name}.b"] = _zeros((c_out,))
 
-    def _block(self, name: str, x: Tensor) -> Tensor:
+    def _block(self, name: str, x: Tensor, cols: np.ndarray | None = None) -> Tensor:
         """One conv block: 3x3 conv, 2x2 max-pool, ReLU. Pooling before the
         ReLU gives the same values (both are monotone) on a quarter of the
-        elements."""
-        return ad.relu(ad.maxpool2(ad.conv2d(x, self.params[f"{name}.w"], self.params[f"{name}.b"])))
+        elements. ``cols`` is ``ad.im2col(x)`` when the caller shares it."""
+        return ad.relu(ad.maxpool2(ad.conv2d(x, self.params[f"{name}.w"], self.params[f"{name}.b"], cols)))
 
     def _linear(self, name: str, x: Tensor) -> Tensor:
         return ad.add_bias(ad.matmul(x, self.params[f"{name}.w"]), self.params[f"{name}.b"])
@@ -94,8 +94,11 @@ class Model:
         self.params[f"{prefix}.head.b"] = _zeros((self.d,))
 
     def _branch_forward(self, prefix: str, x: Tensor) -> Tensor:
-        h = self._block(f"{prefix}.conv2", self._block(f"{prefix}.conv1", x))
-        return ad.relu(self._linear(f"{prefix}.head", ad.flatten(h)))
+        return self._branch_tail(prefix, self._block(f"{prefix}.conv1", x))
+
+    def _branch_tail(self, prefix: str, h: Tensor) -> Tensor:
+        """A branch from the output of its first conv block to its latent."""
+        return ad.relu(self._linear(f"{prefix}.head", ad.flatten(self._block(f"{prefix}.conv2", h))))
 
     def _init_policy_stem(self, seed: int) -> int:
         """The policy backbone conv block; returns its flattened output width."""
@@ -145,7 +148,10 @@ class MultiTuneModel(Model):
         self._init_classifier(n * d, seed * 1000 + 900)
 
     def forward(self, x: Tensor) -> ForwardResult:
-        latents = [self._branch_forward(f"branch{i}", x) for i in range(1, self.n + 1)]
+        cols = ad.im2col(x)  # every branch's first conv reads x
+        first = [self._block(f"branch{i}.conv1", x, cols) for i in range(1, self.n + 1)]
+        del cols  # see AMFModel.forward
+        latents = [self._branch_tail(f"branch{i}", h) for i, h in enumerate(first, 1)]
         return self._classify(ad.concat(latents), latents=latents)
 
 
@@ -170,9 +176,9 @@ class AMFModel(Model):
     def param_count(self, prefix: str) -> int:
         return sum(t.data.size for k, t in self.params.items() if k.startswith(prefix))
 
-    def gate(self, x: Tensor) -> Tensor:
+    def gate(self, x: Tensor, cols: np.ndarray | None = None) -> Tensor:
         """Per-sample branch weights [N, n]: the softmaxed policy output."""
-        return ad.softmax(self._linear("policy.head", ad.flatten(self._block("policy.conv", x))))
+        return ad.softmax(self._linear("policy.head", ad.flatten(self._block("policy.conv", x, cols))))
 
     def fuse(self, weights: Tensor, latents: list[Tensor]) -> ForwardResult:
         """Scale each branch latent by its weight column, concatenate and
@@ -181,8 +187,14 @@ class AMFModel(Model):
         return self._classify(ad.concat(scaled), weights=weights, latents=latents)
 
     def forward(self, x: Tensor) -> ForwardResult:
-        return self.fuse(self.gate(x), [self._branch_forward(f"branch{i}", x)
-                                        for i in range(1, self.n + 1)])
+        cols = ad.im2col(x)  # the policy conv and every branch's first conv read x
+        weights = self.gate(x, cols)
+        first = [self._block(f"branch{i}.conv1", x, cols) for i in range(1, self.n + 1)]
+        # freed before the second convs allocate theirs: held through them, the
+        # patches were freed last, glibc trimmed the heap at the end of every
+        # forward-only forward, and the next one faulted the pages back in
+        del cols
+        return self.fuse(weights, [self._branch_tail(f"branch{i}", h) for i, h in enumerate(first, 1)])
 
 
 class PolicyPretrainModel(Model):

@@ -13,7 +13,7 @@ from amf import gradsuite
 from amf.autodiff import Tensor, new_rng
 from amf.errors import DataError, ShapeError, UsageError
 from amf.gradsuite import _run_case
-from amf.models import AMFModel
+from amf.models import AMFModel, init_model
 
 F = st.floats(-10, 10, allow_nan=False, width=32)
 
@@ -296,7 +296,8 @@ class TestBackward:
 
 def _fields(res) -> list[bytes]:
     """The bytes of every array a ForwardResult carries."""
-    return [t.data.tobytes() for t in (res.probs, res.logits, res.fused, res.weights, *res.latents)]
+    return [t.data.tobytes() for t in (res.probs, res.logits, res.fused, res.weights, *res.latents)
+            if t is not None]
 
 
 class TestNoGrad:
@@ -352,40 +353,79 @@ class TestNoGrad:
 
 
 class TestSharedPatches:
-    """``conv2d`` builds an input's im2col patches once while a closure holds them."""
+    """A model builds its input's im2col patches once per forward and passes
+    them to every conv that reads the input."""
 
     @staticmethod
-    def _count_im2col(monkeypatch) -> list:
+    def _count_im2col(monkeypatch, matrices: list | None = None) -> list:
+        """The input array of every ``im2col`` build; ``matrices``, when
+        given, gets a weak reference to each matrix built."""
         built = []
-        im2col = ad._im2col
+        im2col = ad.im2col
 
-        def counted(data):
-            built.append(data)
-            return im2col(data)
-        monkeypatch.setattr(ad, "_im2col", counted)
+        def counted(x):
+            built.append(x.data)
+            cols = im2col(x)
+            if matrices is not None:
+                matrices.append(weakref.ref(cols))
+            return cols
+        monkeypatch.setattr(ad, "im2col", counted)
         return built
 
-    def test_amf_forward_builds_the_first_layer_patches_once(self, monkeypatch):
-        model = AMFModel(n=3, d=4, num_classes=3, image_hw=8, seed=0)
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("arch", ["amf", "multitune"])
+    def test_forward_builds_input_patches_once(self, monkeypatch, arch, grad):
+        model = init_model(arch, 0, num_classes=3, n=3, d=4, image_hw=8)
         x = _rand((2, 1, 8, 8), dtype=np.float32)
         labels = np.array([0, 2])
-        built = self._count_im2col(monkeypatch)
-        loss = ad.cross_entropy(model.forward(x).logits, labels)
-        # the policy conv and three branch conv1s read x; three conv2s read their own input
+
+        def run() -> list[bytes]:
+            if not grad:
+                with ad.no_grad():
+                    return _fields(model.forward(x))
+            model.zero_grads()
+            loss = ad.cross_entropy(model.forward(x).logits, labels)
+            loss.backward()
+            return [loss.data.tobytes()] + [t.grad.tobytes() for t in model.params.values()]
+
+        matrices = []
+        built = self._count_im2col(monkeypatch, matrices)
+        shared = run()
+        # the policy conv (amf) and three branch conv1s read x; three conv2s read their own input
         assert sum(d is x.data for d in built) == 1
         assert len(built) == 4
-        model.zero_grads()
-        loss.backward()
-        # the last closure that held the shared patches has freed them
-        assert x._patches[1]() is None
-        shared = [loss.data.tobytes()] + [t.grad.tobytes() for t in model.params.values()]
+        # the forward and then the last closure that held the shared patches have freed them
+        assert matrices[built.index(x.data)]() is None
 
         # every conv building its own patches gives the same bits
-        monkeypatch.setattr(ad, "_patches", lambda t: ad._im2col(t.data))
-        model.zero_grads()
-        loss = ad.cross_entropy(model.forward(x).logits, labels)
-        loss.backward()
-        assert shared == [loss.data.tobytes()] + [t.grad.tobytes() for t in model.params.values()]
+        conv2d = ad.conv2d
+        monkeypatch.setattr(ad, "conv2d", lambda x, w, bias, cols=None: conv2d(x, w, bias))
+        built.clear()
+        assert shared == run()
+        # the forward's build, now unused, and one by each conv that reads x
+        assert sum(d is x.data for d in built) == 1 + model.n + (arch == "amf")
+
+    @pytest.mark.parametrize("arch", ["amf", "multitune"])
+    def test_no_grad_frees_the_patches_before_conv2(self, monkeypatch, arch):
+        model = init_model(arch, 0, num_classes=3, n=3, d=4, image_hw=8)
+        x = _rand((2, 1, 8, 8), dtype=np.float32)
+        matrices, alive = [], []
+        self._count_im2col(monkeypatch, matrices)
+        conv2d = ad.conv2d
+
+        def checked(inp, w, bias, cols=None):
+            if inp is not x:
+                alive.append(matrices[0]() is not None)
+            return conv2d(inp, w, bias, cols)
+        monkeypatch.setattr(ad, "conv2d", checked)
+        with ad.no_grad():
+            model.forward(x)
+        assert alive == [False] * model.n
+
+    def test_patches_of_another_input_rejected(self):
+        x, w, b = _rand((2, 1, 4, 4)), _rand((3, 1, 3, 3)), Tensor(np.zeros(3))
+        with pytest.raises(ShapeError, match="patches shape"):
+            ad.conv2d(x, w, b, ad.im2col(_rand((1, 1, 4, 4))))
 
     def test_rebuilt_after_data_is_reassigned(self, monkeypatch):
         model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)

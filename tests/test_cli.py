@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import pytest
@@ -191,6 +192,19 @@ class TestExitCodes:
         rc = main(["train", "--config", str(cfg),
                    "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
         assert rc == EXIT_DIVERGED
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_last_step(self, workdir, tmp_path):
+        # one epoch of one batch of 16: only the validation loss reads the stepped weights
+        cfg = tmp_path / "diverge.cfg"
+        text = CONFIG.replace("train.epochs = 2", "train.epochs = 1")
+        for group in ("branch1", "branch2", "classifier", "policy"):
+            text = re.sub(rf"optim\.{group}\.lr = \S+", f"optim.{group}.lr = 1e30", text)
+        cfg.write_text(text)
+        rc = main(["train", "--config", str(cfg),
+                   "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
+        assert rc == EXIT_DIVERGED
+        assert not (tmp_path / "amf_best.ckpt").exists()
 
     def test_dataset_label_out_of_range(self, workdir, tmp_path):
         blob = bytearray((workdir / "data/target.ds").read_bytes())

@@ -37,10 +37,13 @@ class TestParse:
             parse_config("data.k_a = four\n")
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("optim.momentum = 1.5\n")
-        with pytest.raises(ConfigError):
-            parse_config("model.arch = resnet\n")
+        for line in ("optim.momentum = 1.5", "model.arch = resnet",
+                     # no float value may be non-finite
+                     "pretrain.lr = inf", "pretrain.policy_lr = inf", "optim.branch1.lr = inf",
+                     "optim.policy.lr = 1e999", "data.noise_a = inf", "data.noise_b = inf",
+                     "data.source_noise = inf", "data.noise_a = nan"):
+            with pytest.raises(ConfigError):
+                parse_config(line + "\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):

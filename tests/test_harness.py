@@ -155,6 +155,14 @@ class TestTrainLoop:
         with pytest.raises(RunError):
             train(tiny_train_config(schedules=huge, epochs=5), tiny_mixture)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_weights_after_the_last_step_raise_run_error(self, tiny_mixture):
+        # one epoch of one batch: the first and only loss is read before the step
+        huge = {g: ScheduleSpec(1e30) for g in ("branch1", "branch2", "classifier", "policy")}
+        cfg = tiny_train_config(schedules=huge, epochs=1, batch_size=len(tiny_mixture.train))
+        with pytest.raises(RunError, match="non-finite validation loss at epoch 0"):
+            train(cfg, tiny_mixture)
+
     def test_single_arch_records_have_no_weighting(self, tiny_mixture):
         cfg = tiny_train_config(arch="single", n=1, epochs=2,
                                 schedules={"backbone": ScheduleSpec(0.01),
