@@ -1,5 +1,5 @@
-"""Golden outputs: a tiny pretrain, AMF and single fine-tunes and a short
-gradient suite must give byte-identical artifacts to the recorded run.
+"""Golden outputs: a tiny pretrain, AMF, multitune and single fine-tunes and
+a short gradient suite must give byte-identical artifacts to the recorded run.
 
 The digests were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 (the
 scipy-openblas build, Haswell kernels) on x86-64. The gradient-suite errors
@@ -18,12 +18,15 @@ from amf.harness import PretrainConfig, pretrain, save_run_artifacts, train
 from amf.models import checkpoint_save, snapshot
 from amf.optim import ScheduleSpec
 
-from conftest import TINY_SPEC, tiny_train_config
+from conftest import TINY_SCHEDULES, TINY_SPEC, tiny_train_config
 
 EXPECTED = {
     "amf_best.ckpt": "cf61a7c5a4dbe59980d6e8fb3572342f0b7e2e8ab66df7e448b788a2a8782185",
     "amf_final.ckpt": "cf61a7c5a4dbe59980d6e8fb3572342f0b7e2e8ab66df7e448b788a2a8782185",
     "amf_monitor.csv": "1a9500f8cd24183d01c2addedb21665346b82e5de0c306f5575829e5b9ebd742",
+    "multitune_best.ckpt": "099fafb7e657c478ed72a732cdc620e7e8139dd13fba4aadd1be6f8eb57e5029",
+    "multitune_final.ckpt": "099fafb7e657c478ed72a732cdc620e7e8139dd13fba4aadd1be6f8eb57e5029",
+    "multitune_monitor.csv": "373dfddd2b0fb16778e38b26c949ebd7d83db2c3c12b0783a682c4f050a7d81a",
     "pretrained.ckpt": "40e1c1ea7c5d1bd01065abe21ba1a39519a1ea06b98d6dafdb2050c9da8f3392",
     "single_best.ckpt": "00b6ca581b1eb8c55f16287e38f53bb5e6415db251381dd38d23fd2fb4269b42",
     "single_final.ckpt": "a5d0462eb880304d34663794f476838fffe316fc61c4e9667d13b2e348d43e60",
@@ -59,6 +62,8 @@ def golden_digests(out_dir: str) -> dict[str, str]:
     checkpoint_save(pretrained, os.path.join(out_dir, "pretrained.ckpt"))
     runs = {
         "amf": tiny_train_config(epochs=3),
+        "multitune": tiny_train_config(arch="multitune", epochs=3, schedules={
+            g: s for g, s in TINY_SCHEDULES.items() if g != "policy"}),
         "single": tiny_train_config(arch="single", n=1, epochs=3, schedules={
             "backbone": ScheduleSpec(0.01), "classifier": ScheduleSpec(0.01)}),
     }
