@@ -109,7 +109,7 @@ def evaluate(model: Model, split, batch_size: int = 64) -> EvalReport:
     with ad.no_grad():
         for images, labels, modes in batches(split, batch_size, epoch_seed=0, shuffle=False):
             res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
-            preds.append(res.probs.data.argmax(axis=1))
+            preds.append(res.logits.data.argmax(axis=1))
             labels_all.append(labels)
             modes_all.append(modes)
             losses.append(float(ad.cross_entropy(res.logits, labels).data) * len(labels))

@@ -4,6 +4,9 @@ single-backbone baselines and the policy pretraining model, each built by
 parameter snapshots, checkpoint I/O and transfer of pretrained backbone
 weights.
 
+The branched architectures share ``Model.forward``: n branches, a per-sample
+``gate`` (gated arch only) and a ``fuse`` into one linear classifier.
+
 Parameter naming convention (load-bearing for optimizer groups and transfer):
 
     branch{i}.conv1.w / .b     first conv block of branch i (1-based)
@@ -33,9 +36,9 @@ CKPT_MAGIC = b"AMFCKPT1"
 
 @dataclass
 class ForwardResult:
-    """Everything the monitors need from one forward pass."""
+    """Everything the monitors need from one forward pass; predictions are
+    the argmax of ``logits``."""
 
-    probs: Tensor
     logits: Tensor
     fused: Tensor
     weights: Tensor | None = None  # [N, n] softmaxed policy output (gated arch only)
@@ -110,15 +113,30 @@ class Model:
         self.params["classifier.b"] = _zeros((self.num_classes,))
 
     def _classify(self, fused: Tensor, **extra) -> ForwardResult:
-        logits = self._linear("classifier", fused)
-        return ForwardResult(probs=ad.softmax(logits), logits=logits, fused=fused, **extra)
+        return ForwardResult(logits=self._linear("classifier", fused), fused=fused, **extra)
 
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.zero_grad()
 
+    def gate(self, x: Tensor, cols: np.ndarray | None = None) -> Tensor | None:
+        """Per-sample branch weights [N, n]; ``None`` for an ungated model."""
+        return None
+
+    def fuse(self, weights: Tensor | None, latents: list[Tensor]) -> ForwardResult:
+        """Classify the concatenated branch latents; a single latent is
+        classified as it is, with no concat node."""
+        return self._classify(latents[0] if len(latents) == 1 else ad.concat(latents), latents=latents)
+
     def forward(self, x: Tensor) -> ForwardResult:
-        raise NotImplementedError
+        cols = ad.im2col(x)  # the policy conv (gated arch) and every branch's first conv read x
+        weights = self.gate(x, cols)
+        first = [self._block(f"branch{i}.conv1", x, cols) for i in range(1, self.n + 1)]
+        # freed before the second convs allocate theirs: held through them, the
+        # patches were freed last, glibc trimmed the heap at the end of every
+        # forward-only forward, and the next one faulted the pages back in
+        del cols
+        return self.fuse(weights, [self._branch_tail(f"branch{i}", h) for i, h in enumerate(first, 1)])
 
 
 class SingleModel(Model):
@@ -131,10 +149,6 @@ class SingleModel(Model):
         self._init_branch("branch1", seed * 1000 + 1)
         self._init_classifier(d, seed * 1000 + 900)
 
-    def forward(self, x: Tensor) -> ForwardResult:
-        m = self._branch_forward("branch1", x)
-        return self._classify(m, latents=[m])
-
 
 class MultiTuneModel(Model):
     """Static concatenation fusion of n branches (no gating)."""
@@ -146,13 +160,6 @@ class MultiTuneModel(Model):
         for i in range(1, n + 1):
             self._init_branch(f"branch{i}", seed * 1000 + i * 10)
         self._init_classifier(n * d, seed * 1000 + 900)
-
-    def forward(self, x: Tensor) -> ForwardResult:
-        cols = ad.im2col(x)  # every branch's first conv reads x
-        first = [self._block(f"branch{i}.conv1", x, cols) for i in range(1, self.n + 1)]
-        del cols  # see AMFModel.forward
-        latents = [self._branch_tail(f"branch{i}", h) for i, h in enumerate(first, 1)]
-        return self._classify(ad.concat(latents), latents=latents)
 
 
 class AMFModel(Model):
@@ -185,16 +192,6 @@ class AMFModel(Model):
         classify. The only point where the policy and the branches meet."""
         scaled = [ad.scale_rows(m, ad.slice_cols(weights, i, i + 1)) for i, m in enumerate(latents)]
         return self._classify(ad.concat(scaled), weights=weights, latents=latents)
-
-    def forward(self, x: Tensor) -> ForwardResult:
-        cols = ad.im2col(x)  # the policy conv and every branch's first conv read x
-        weights = self.gate(x, cols)
-        first = [self._block(f"branch{i}.conv1", x, cols) for i in range(1, self.n + 1)]
-        # freed before the second convs allocate theirs: held through them, the
-        # patches were freed last, glibc trimmed the heap at the end of every
-        # forward-only forward, and the next one faulted the pages back in
-        del cols
-        return self.fuse(weights, [self._branch_tail(f"branch{i}", h) for i, h in enumerate(first, 1)])
 
 
 class PolicyPretrainModel(Model):

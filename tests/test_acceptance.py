@@ -81,7 +81,6 @@ class TestCriterion2Reductions:
         x = Tensor(new_rng(3).normal(0.5, 0.3, size=(16, 1, 8, 8)).astype(np.float32))
         rs, rg = single.forward(x), gated.forward(x)
         np.testing.assert_array_equal(rs.logits.data, rg.logits.data)
-        np.testing.assert_array_equal(rs.probs.data, rg.probs.data)
 
     def test_uniform_policy_reproduces_static_fusion(self):
         n = 2
