@@ -189,14 +189,14 @@ def gen_source_task(spec: MixtureSpec, seed: int, k_src: int = 6,
     return _gen_dataset(src_spec, _class_bases(src_spec, periods))
 
 
-def batches(split: Split, batch_size: int, epoch_seed: int, shuffle: bool = True):
-    """Yield (images [N,C,H,W], labels, modes) with a seeded per-epoch order."""
+def batches(split: Split, batch_size: int, epoch_seed: int | None = None):
+    """Yield (images [N,C,H,W], labels, modes), permuted by ``epoch_seed`` if given."""
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     if not split:
         raise UsageError("empty split")
     order = np.arange(len(split))
-    if shuffle:
+    if epoch_seed is not None:
         order = new_rng(epoch_seed).permutation(order)
     for lo in range(0, len(split), batch_size):
         idx = order[lo : lo + batch_size]

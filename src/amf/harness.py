@@ -100,38 +100,38 @@ def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, 
     return per_mode, hits(perm) / len(modes), perm
 
 
+def _passes(model: Model, split, batch_size: int, epoch_seed: int | None = None):
+    """Yield (forward result, mean cross-entropy, labels, modes) per batch of
+    ``split``, in the order ``batches`` gives for ``epoch_seed``."""
+    for images, labels, modes in batches(split, batch_size, epoch_seed):
+        res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
+        yield res, ad.cross_entropy(res.logits, labels), labels, modes
+
+
 def evaluate(model: Model, split, batch_size: int = 64) -> EvalReport:
     """Top-1 and loss over a split; adds assignment metrics for the gated arch.
     The forward passes run forward-only (``ad.no_grad``)."""
-    if not split:
-        raise UsageError("empty split")
     preds, labels_all, modes_all, losses, hs = [], [], [], [], []
     with ad.no_grad():
-        for images, labels, modes in batches(split, batch_size, epoch_seed=0, shuffle=False):
-            res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
+        for res, loss, labels, modes in _passes(model, split, batch_size):
             preds.append(res.logits.data.argmax(axis=1))
             labels_all.append(labels)
             modes_all.append(modes)
-            losses.append(float(ad.cross_entropy(res.logits, labels).data) * len(labels))
+            losses.append(float(loss.data) * len(labels))
             if res.weights is not None:
                 hs.append(res.weights.data)
-    # freed here, not at return: holding the last batch raised the single
-    # fine-tune's peak RSS by 3 MB, forward-only evaluation included
-    del images
-    preds = np.concatenate(preds)
-    labels_all = np.concatenate(labels_all)
+    correct = np.concatenate(preds) == np.concatenate(labels_all)
     modes_all = np.concatenate(modes_all)
-    correct = preds == labels_all
     per_mode = {int(m): float(correct[modes_all == m].mean()) for m in sorted(set(modes_all.tolist()))}
     report = EvalReport(
         top1_overall=float(correct.mean()),
         top1_per_mode=per_mode,
-        loss=sum(losses) / len(labels_all),
+        loss=sum(losses) / len(correct),
     )
     if hs:
         h = np.concatenate(hs)
         report.mean_h = h.mean(axis=0).tolist()
-        if model.n == len(set(modes_all.tolist())):
+        if model.n == len(per_mode):
             am, overall, perm = assignment_accuracy(h, modes_all)
             report.assignment_per_mode = am
             report.assignment_overall = overall
@@ -144,18 +144,20 @@ def _fmt(v) -> str:
 
 
 def monitor_csv(trace: MonitorTrace) -> str:
-    """One row per epoch, with one mean-h column per branch (never fewer than two)."""
+    """One row per epoch, with one mean-h column per branch (never fewer than
+    two) and one top-1 and one assignment column per mode id (modes 0 and 1 at least)."""
     n_h = max([2] + [len(r.val.mean_h) for r in trace.records if r.val.mean_h is not None])
-    lines = [",".join(["epoch", "train_loss", "val_top1_mode0", "val_top1_mode1",
-                       *(f"mean_h_branch{i}" for i in range(n_h)), "assign_acc_mode0", "assign_acc_mode1"])]
+    modes = sorted({0, 1}.union(*(r.val.top1_per_mode for r in trace.records)))
+    lines = [",".join(["epoch", "train_loss", *(f"val_top1_mode{m}" for m in modes),
+                       *(f"mean_h_branch{i}" for i in range(n_h)), *(f"assign_acc_mode{m}" for m in modes)])]
     for r in trace.records:
         h = r.val.mean_h or []
         aa = r.val.assignment_per_mode or {}
         lines.append(",".join([
             str(r.epoch), _fmt(r.train_loss),
-            _fmt(r.val.top1_per_mode.get(0)), _fmt(r.val.top1_per_mode.get(1)),
+            *(_fmt(r.val.top1_per_mode.get(m)) for m in modes),
             *(_fmt(v) for v in h + [None] * (n_h - len(h))),
-            _fmt(aa.get(0)), _fmt(aa.get(1)),
+            *(_fmt(aa.get(m)) for m in modes),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -213,15 +215,13 @@ def train(config: TrainConfig, target: MixtureDataset,
                           layer_scale_factor=config.layer_scale)
     state = OptimizerState(model)
     trace = MonitorTrace()
-    best_top1, best_params = -1.0, None
+    best_params = None
     saturated_epochs = 0
     for epoch in range(config.epochs):
         state.epoch = epoch
         losses = []
-        for images, labels, _ in batches(target.train, config.batch_size,
-                                         epoch_seed=config.seed_data * 1_000_003 + epoch):
-            res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
-            loss = ad.cross_entropy(res.logits, labels)
+        for _, loss, labels, _ in _passes(model, target.train, config.batch_size,
+                                          config.seed_data * 1_000_003 + epoch):
             if not np.isfinite(loss.data):
                 raise RunError(f"non-finite loss at epoch {epoch}")
             model.zero_grads()
@@ -234,8 +234,7 @@ def train(config: TrainConfig, target: MixtureDataset,
         # the last step's weights are checked here, as no later loss reads them
         if not np.isfinite(report.loss):
             raise RunError(f"non-finite validation loss at epoch {epoch}")
-        if report.top1_overall > best_top1:
-            best_top1 = report.top1_overall
+        if not trace.records or report.top1_overall > trace.best_val_top1():
             best_params = snapshot(model)
 
         trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))

@@ -137,9 +137,9 @@ class TestBatches:
         assert first == again
         assert first != other
 
-    def test_no_shuffle_preserves_order(self):
+    def test_no_seed_keeps_split_order(self):
         ds = gen_mixture(SPEC)
-        labels = np.concatenate([l for _, l, _ in batches(ds.train, 7, 0, shuffle=False)])
+        labels = np.concatenate([l for _, l, _ in batches(ds.train, 7)])
         np.testing.assert_array_equal(labels, [ex.label for ex in ds.train])
 
     def test_rejects_bad_usage(self):

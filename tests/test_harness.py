@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,6 +11,9 @@ from amf import harness
 from amf.data import gen_source_task
 from amf.errors import ConfigError, RunError, UsageError
 from amf.harness import (
+    EvalReport,
+    MonitorRecord,
+    MonitorTrace,
     PretrainConfig,
     assignment_accuracy,
     evaluate,
@@ -148,6 +152,40 @@ class TestTrainLoop:
                             "mean_h_branch0,mean_h_branch1,assign_acc_mode0,assign_acc_mode1")
         assert len(lines) == 1 + len(trace.records)
         assert all(len(l.split(",")) == 8 for l in lines[1:])
+
+    def test_monitor_csv_has_columns_for_every_mode(self):
+        val = EvalReport(top1_overall=0.5, top1_per_mode={0: 0.25, 1: 0.5, 2: 0.75}, loss=1.0,
+                         assignment_per_mode={0: 1.0, 1: 0.5, 2: 0.0}, mean_h=[0.5, 0.25, 0.25])
+        trace = MonitorTrace(records=[MonitorRecord(epoch=0, train_loss=2.0, val=val)])
+        assert monitor_csv(trace).split("\n") == [
+            "epoch,train_loss,val_top1_mode0,val_top1_mode1,val_top1_mode2,"
+            "mean_h_branch0,mean_h_branch1,mean_h_branch2,assign_acc_mode0,assign_acc_mode1,assign_acc_mode2",
+            "0,2,0.25,0.5,0.75,0.5,0.25,0.25,1,0.5,0", ""]
+
+    def test_dead_policy_watch(self, tiny_mixture, monkeypatch):
+        saturated = EvalReport(top1_overall=0.5, top1_per_mode={0: 1.0, 1: 0.0}, loss=1.0,
+                               assignment_overall=0.5, mean_h=[1.0, 0.0])
+        monkeypatch.setattr(harness, "evaluate", lambda *args: saturated)
+        _, trace, _ = train(tiny_train_config(epochs=21), tiny_mixture)
+        assert trace.warnings == ["dead policy network suspected at epoch 19"]
+
+        # one unsaturated epoch in the middle restarts the count
+        healthy, calls = dataclasses.replace(saturated, mean_h=[0.5, 0.5]), itertools.count()
+        monkeypatch.setattr(harness, "evaluate", lambda *args: healthy if next(calls) == 10 else saturated)
+        _, trace, _ = train(tiny_train_config(epochs=21), tiny_mixture)
+        assert trace.warnings == []
+
+    def test_one_loss_per_batch_of_either_pass(self, tiny_mixture, monkeypatch):
+        # the benchmark counts loss evaluations by wrapping ad.cross_entropy
+        calls, cross_entropy = [], ad.cross_entropy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cross_entropy(*args, **kwargs)
+        monkeypatch.setattr(ad, "cross_entropy", counting)
+        train(tiny_train_config(epochs=2, batch_size=4), tiny_mixture)
+        per_epoch = -(-len(tiny_mixture.train) // 4) + -(-len(tiny_mixture.val) // 4)
+        assert len(calls) == 2 * per_epoch
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_run_error(self, tiny_mixture):
