@@ -12,15 +12,16 @@ bench/run.py's default length, one run in each checkout per pair. Pair i runs
 the parent first when i is even and the change first when i is odd, so a
 drift of the machine's speed falls on both sides. The runs go to BENCH_<label>.json (rewritten after every
 run) with the checkouts' git heads and, per run, its wall time, its minor
-page faults and system CPU time (the RUSAGE_CHILDREN deltas around the
-bench/run.py process) and the last two lines that bench/run.py printed: its
+page faults and user and system CPU time (the RUSAGE_CHILDREN deltas around
+the bench/run.py process, so they include any worker process it forked and
+reaped) and the last two lines that bench/run.py printed: its
 environment line and its result line. A run that exits nonzero or prints no
 result is stored too, with its exit code and the last 20 lines of its
 stderr, and the series goes on. At the
 end it prints, per workload and seed, the runs that failed, each side's total
 of failed and attempted operations over all its other runs, every run that
-bench/run.py did not mark correct, each side's median minor page faults and
-system CPU time per run, and then each end-to-end metric's
+bench/run.py did not mark correct, each side's median minor page faults,
+system CPU time and user+system CPU time per run, and then each end-to-end metric's
 quartiles on each side over the pairs where both runs succeeded, the number
 of pairs the change won, the change's median as a percent change from the
 parent's, the metric's `bound` in BENCHMARK.json as a percent, and one
@@ -64,8 +65,8 @@ def parse_run(spec: str) -> tuple[str, int, int, int]:
 
 
 def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One bench/run.py run: its wall time, minor page faults and system CPU
-    time, and its environment and result lines or, when it fails, its exit
+    """One bench/run.py run: its wall time, minor page faults and user and
+    system CPU time, and its environment and result lines or, when it fails, its exit
     code and the tail of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", str(trace)]
@@ -75,6 +76,7 @@ def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     wall = round(time.perf_counter() - t0, 3)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     usage = {"wall_s": wall, "minflt": after.ru_minflt - before.ru_minflt,
+             "user_s": round(after.ru_utime - before.ru_utime, 3),
              "sys_s": round(after.ru_stime - before.ru_stime, 3)}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and len(lines) >= 2 and lines[-2].startswith("env "):
@@ -127,19 +129,21 @@ def failures(runs: list[dict]) -> str:
 
 
 def usage(runs: list[dict]) -> str:
-    """Each side's median minor page faults and system CPU time per untraced
-    run that printed a result."""
+    """Each side's median minor page faults, system CPU time and user+system
+    CPU time per untraced run that printed a result."""
     sides = {side: [r for r in runs if r["side"] == side and not r["trace"] and "result_line" in r]
              for side in ("parent", "change")}
-    return ("  median minor faults / sys s per run: "
-            + " -> ".join(f"{side} " + ("/".join(f"{statistics.median(r[k] for r in rs):.4g}"
-                                                 for k in ("minflt", "sys_s")) if rs else "none")
-                          for side, rs in sides.items()))
+
+    def medians(rs):
+        columns = zip(*((r["minflt"], r["sys_s"], r["user_s"] + r["sys_s"]) for r in rs))
+        return "/".join(f"{statistics.median(c):.4g}" for c in columns)
+    return ("  median minor faults / sys s / user+sys s per run: "
+            + " -> ".join(f"{side} " + (medians(rs) if rs else "none") for side, rs in sides.items()))
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> bool:
     """Prints, per workload and seed, the failed runs, the failure counts and
-    the median page faults and system time and then, per metric,
+    the median page faults, system time and user+system time and then, per metric,
     q1/median/q3 per side, the pairs the change won, the percent change of
     the median, the metric's `bound` and the verdict. Returns True when no
     metric is OUTSIDE its bound."""

@@ -52,6 +52,13 @@ Design notes that the gradient checks rely on:
   (``im2col(x)``), so convs that read the same input can share one: the
   models build the image's patches once per forward and pass them to the
   policy conv and every branch's first conv.
+- A graph can be cut between processes. ``remote(data, on_grad)`` stands for
+  a value computed elsewhere and hands its gradient to ``on_grad`` when the
+  sweep reaches it; where the value was made, ``backward(grad)`` sweeps its
+  own graph from that seed. The leaf gradients are those of one sweep
+  through the whole graph, to the bit, as long as the remote value's
+  gradient is complete when the sweep reaches it (every consumer of the
+  value is on the sweeping side).
 """
 
 from __future__ import annotations
@@ -141,11 +148,17 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self) -> None:
-        """Reverse sweep from a scalar node: accumulates into the .grad of every
-        reachable leaf, and releases each interior node once it is swept."""
-        if self.data.size != 1:
-            raise UsageError(f"backward requires a scalar loss, got shape {self.shape}")
+    def backward(self, grad: np.ndarray | None = None) -> None:
+        """Reverse sweep from this node: accumulates into the .grad of every
+        reachable leaf, and releases each interior node once it is swept.
+        The sweep starts from ``grad``, which must have this node's shape,
+        or from 1 when none is given, which needs a scalar node."""
+        if grad is None:
+            if self.data.size != 1:
+                raise UsageError(f"backward requires a scalar loss, got shape {self.shape}")
+            grad = np.ones(self.data.shape)
+        elif np.shape(grad) != self.shape:
+            raise ShapeError(f"seed gradient shape {np.shape(grad)} != node shape {self.shape}")
         if not self.requires_grad:
             raise UsageError("backward from a loss that requires no grad: it was built inside "
                              "no_grad() or from inputs that require none")
@@ -159,7 +172,7 @@ class Tensor:
             seen.add(id(t))
             nodes.append(t)
             stack.extend(t._parents)
-        self.grad = np.ones(self.data.shape, dtype=np.float64)
+        self.grad = np.array(grad, dtype=np.float64, order="C")
         for t in sorted(nodes, key=lambda n: n._id, reverse=True):
             if t._backward is None:  # a leaf keeps its gradient
                 continue
@@ -183,6 +196,22 @@ def _op(data: np.ndarray, parents: tuple[Tensor, ...],
     """
     if not (_grad_mode.enabled and any(p.requires_grad for p in parents)):
         return Tensor(data)
+    return _node(data, parents, backward)
+
+
+def remote(data: np.ndarray, on_grad: Callable[[np.ndarray], None]) -> Tensor:
+    """A node for a value computed elsewhere, such as in another process: the
+    sweep passes the node's gradient to ``on_grad``, which carries it on to
+    where the value was made. Inside ``no_grad`` it is a constant."""
+    if not _grad_mode.enabled:
+        return Tensor(data)
+    return _node(data, (), on_grad)
+
+
+def _node(data: np.ndarray, parents: tuple[Tensor, ...],
+          backward: Callable[[np.ndarray], None]) -> Tensor:
+    """A graph node whose closure calls ``backward`` with its gradient,
+    reaching the node through a weak reference."""
     out = Tensor(data, requires_grad=True, _parents=parents)
     out_ref = weakref.ref(out)
     out._backward = lambda: backward(out_ref().grad)

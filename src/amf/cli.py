@@ -3,9 +3,9 @@
 Commands: gen-data, pretrain, train, eval, grad-check.
 Exit codes: 0 success; 1 grad-check failure; 2 bad config or argument;
 3 I/O error; 4 corrupt checkpoint or dataset file, or architecture/checkpoint
-mismatch; 5 non-finite training or validation loss; 6 data value out of
-contract (DataError); 7 invalid tensor shape (ShapeError); 8 API misuse
-(UsageError).
+mismatch; 5 non-finite training or validation loss, or a lost or failed
+branch worker process; 6 data value out of contract (DataError); 7 invalid
+tensor shape (ShapeError); 8 API misuse (UsageError).
 """
 
 from __future__ import annotations

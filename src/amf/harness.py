@@ -5,6 +5,7 @@ and the monitors (per-mode top-1, policy assignment accuracy, mean weighting).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import branchworker
 from .autodiff import Tensor
 from .data import MixtureDataset, batches
 from .errors import ConfigError, RunError, UsageError
@@ -100,20 +102,29 @@ def assignment_accuracy(h: np.ndarray, modes: np.ndarray) -> tuple[dict, float, 
     return per_mode, hits(perm) / len(modes), perm
 
 
-def _passes(model: Model, split, batch_size: int, epoch_seed: int | None = None):
+def _passes(model: Model, split, batch_size: int, epoch_seed: int | None = None,
+            worker: branchworker.BranchWorker | None = None):
     """Yield (forward result, mean cross-entropy, labels, modes) per batch of
-    ``split``, in the order ``batches`` gives for ``epoch_seed``."""
+    ``split``, in the order ``batches`` gives for ``epoch_seed``. With a
+    ``worker``, it computes its branches of each batch alongside ``model``."""
     for images, labels, modes in batches(split, batch_size, epoch_seed):
-        res = model.forward(Tensor(images.astype(ad.DEFAULT_DTYPE)))
+        x = Tensor(images.astype(ad.DEFAULT_DTYPE))
+        if worker is None:
+            res = model.forward(x)
+        else:
+            worker.send(x)
+            res = model.forward(x, worker)
         yield res, ad.cross_entropy(res.logits, labels), labels, modes
 
 
-def evaluate(model: Model, split, batch_size: int = 64) -> EvalReport:
+def evaluate(model: Model, split, batch_size: int = 64,
+             worker: branchworker.BranchWorker | None = None) -> EvalReport:
     """Top-1 and loss over a split; adds assignment metrics for the gated arch.
-    The forward passes run forward-only (``ad.no_grad``)."""
+    The forward passes run forward-only (``ad.no_grad``). ``worker`` is
+    ``train``'s, which holds the current parameters of its branches."""
     preds, labels_all, modes_all, losses, hs = [], [], [], [], []
     with ad.no_grad():
-        for res, loss, labels, modes in _passes(model, split, batch_size):
+        for res, loss, labels, modes in _passes(model, split, batch_size, None, worker):
             preds.append(res.logits.data.argmax(axis=1))
             labels_all.append(labels)
             modes_all.append(modes)
@@ -206,7 +217,12 @@ def pretrain(config: PretrainConfig, source: MixtureDataset,
 def train(config: TrainConfig, target: MixtureDataset,
           pretrained: dict[str, np.ndarray] | None = None
           ) -> tuple[Model, MonitorTrace, dict[str, np.ndarray]]:
-    """Full training run; returns (final model, trace, best-val checkpoint)."""
+    """Full training run; returns (final model, trace, best-val checkpoint).
+
+    When ``branchworker.use_worker`` allows, a forked ``BranchWorker`` trains
+    the upper half of the branches for the whole run and is ended and reaped
+    however the run ends; the results are the same bytes as a serial run's.
+    """
     model = init_model(config.arch, config.seed_init, config.num_classes, config.n,
                        config.d, config.in_channels, config.image_hw)
     if pretrained is not None:
@@ -217,35 +233,44 @@ def train(config: TrainConfig, target: MixtureDataset,
     trace = MonitorTrace()
     best_params = None
     saturated_epochs = 0
-    for epoch in range(config.epochs):
-        state.epoch = epoch
-        losses = []
-        for _, loss, labels, _ in _passes(model, target.train, config.batch_size,
-                                          config.seed_data * 1_000_003 + epoch):
-            if not np.isfinite(loss.data):
-                raise RunError(f"non-finite loss at epoch {epoch}")
-            model.zero_grads()
-            loss.backward()
-            sgd_step(model, state, groups)
-            losses.append(float(loss.data) * len(labels))
-        train_loss = sum(losses) / len(target.train)
+    worker = branchworker.BranchWorker(model, groups, state) if branchworker.use_worker(model.n) else None
+    with worker or contextlib.nullcontext():
+        local = groups if worker is None else [g for g in groups if g not in worker.groups]
+        for epoch in range(config.epochs):
+            state.epoch = epoch
+            losses = []
+            for _, loss, labels, _ in _passes(model, target.train, config.batch_size,
+                                              config.seed_data * 1_000_003 + epoch, worker):
+                if not np.isfinite(loss.data):
+                    raise RunError(f"non-finite loss at epoch {epoch}")
+                model.zero_grads()
+                loss.backward()  # sends the worker its latents' gradients as the sweep reaches them
+                if worker is not None:
+                    worker.step(epoch)
+                sgd_step(model, state, local)
+                losses.append(float(loss.data) * len(labels))
+            train_loss = sum(losses) / len(target.train)
 
-        report = evaluate(model, target.val, config.batch_size)
-        # the last step's weights are checked here, as no later loss reads them
-        if not np.isfinite(report.loss):
-            raise RunError(f"non-finite validation loss at epoch {epoch}")
-        if not trace.records or report.top1_overall > trace.best_val_top1():
-            best_params = snapshot(model)
+            report = evaluate(model, target.val, config.batch_size, worker)
+            # the last step's weights are checked here, as no later loss reads them
+            if not np.isfinite(report.loss):
+                raise RunError(f"non-finite validation loss at epoch {epoch}")
+            if not trace.records or report.top1_overall > trace.best_val_top1():
+                if worker is not None:
+                    worker.pull()
+                best_params = snapshot(model)
 
-        trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
-        # dead-policy watch: one branch hogging all weight at chance accuracy
-        if report.assignment_overall is not None:  # implies mean_h is set
-            if max(report.mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
-                saturated_epochs += 1
-            else:
-                saturated_epochs = 0
-            if saturated_epochs == 20:
-                trace.warnings.append(f"dead policy network suspected at epoch {epoch}")
+            trace.records.append(MonitorRecord(epoch=epoch, train_loss=train_loss, val=report))
+            # dead-policy watch: one branch hogging all weight at chance accuracy
+            if report.assignment_overall is not None:  # implies mean_h is set
+                if max(report.mean_h) > 0.99 and report.assignment_overall <= 0.5 + 1e-9:
+                    saturated_epochs += 1
+                else:
+                    saturated_epochs = 0
+                if saturated_epochs == 20:
+                    trace.warnings.append(f"dead policy network suspected at epoch {epoch}")
+        if worker is not None:
+            worker.pull()
     return model, trace, best_params
 
 

@@ -128,15 +128,21 @@ class Model:
         classified as it is, with no concat node."""
         return self._classify(latents[0] if len(latents) == 1 else ad.concat(latents), latents=latents)
 
-    def forward(self, x: Tensor) -> ForwardResult:
+    def forward(self, x: Tensor, remote=None) -> ForwardResult:
+        """Logits of a batch. With ``remote``, branches ``remote.first``..n
+        are computed elsewhere: this forward builds the branches before them
+        and then calls ``remote.latents()``, which returns the latent nodes
+        of the rest (``ad.remote``), so that both run at the same time."""
         cols = ad.im2col(x)  # the policy conv (gated arch) and every branch's first conv read x
         weights = self.gate(x, cols)
-        first = [self._block(f"branch{i}.conv1", x, cols) for i in range(1, self.n + 1)]
+        local = range(1, self.n + 1 if remote is None else remote.first)
+        first = [self._block(f"branch{i}.conv1", x, cols) for i in local]
         # freed before the second convs allocate theirs: held through them, the
         # patches were freed last, glibc trimmed the heap at the end of every
         # forward-only forward, and the next one faulted the pages back in
         del cols
-        return self.fuse(weights, [self._branch_tail(f"branch{i}", h) for i, h in enumerate(first, 1)])
+        latents = [self._branch_tail(f"branch{i}", h) for i, h in zip(local, first)]
+        return self.fuse(weights, latents if remote is None else latents + remote.latents())
 
 
 class SingleModel(Model):

@@ -244,6 +244,40 @@ class TestBackward:
         loss.backward()
         assert len(kept) > len(model.params)
 
+    def test_seeded_sweep_matches_one_sweep_of_the_loss(self):
+        """Branch 2 built apart and handed to ``Model.forward`` as a remote
+        node: the loss's sweep passes the latent's gradient on, and a sweep
+        of the branch seeded with it gives every leaf the gradient of one
+        sweep through the whole model, to the bit."""
+        model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)
+        x, labels = _rand((2, 1, 8, 8), dtype=np.float32), np.array([0, 2])
+        model.zero_grads()
+        loss = ad.cross_entropy(model.forward(x).logits, labels)
+        loss.backward()
+        whole = {k: t.grad.tobytes() for k, t in model.params.items()}
+
+        class Remote:
+            first = 2
+            latent = model._branch_forward("branch2", x)
+            seeds = []
+
+            def latents(self):
+                return [ad.remote(self.latent.data, self.seeds.append)]
+
+        model.zero_grads()
+        remote = Remote()
+        split = ad.cross_entropy(model.forward(x, remote).logits, labels)
+        assert split.data.tobytes() == loss.data.tobytes()
+        split.backward()
+        assert len(remote.seeds) == 1 and remote.seeds[0].shape == (2, 4)
+        remote.latent.backward(remote.seeds[0])
+        assert {k: t.grad.tobytes() for k, t in model.params.items()} == whole
+
+    def test_seed_of_the_wrong_shape_raises(self):
+        y = ad.relu(_rand((2, 3), requires_grad=True))
+        with pytest.raises(ShapeError, match="seed gradient shape"):
+            y.backward(np.ones((3, 2)))
+
     def test_second_sweep_through_a_released_node_raises(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         y = ad.relu(x)
@@ -333,6 +367,16 @@ class TestNoGrad:
         assert _fields(fres) == _fields(res)
         assert floss.data.tobytes() == loss.data.tobytes()
         assert all(t.requires_grad for t in model.params.values())
+
+    def test_remote_node_is_a_constant(self):
+        seeds = []
+        with ad.no_grad():
+            t = ad.remote(np.ones((2, 3)), seeds.append)
+        assert t._parents == () and t._backward is None and not t.requires_grad
+        with pytest.raises(UsageError, match="requires no grad"):
+            ad.sum_all(t).backward()
+        ad.sum_all(ad.remote(np.ones((2, 3)), seeds.append)).backward()
+        assert len(seeds) == 1 and np.array_equal(seeds[0], np.ones((2, 3)))
 
     def test_backward_from_a_forward_only_loss_raises(self):
         model = AMFModel(n=2, d=4, num_classes=3, image_hw=8, seed=0)

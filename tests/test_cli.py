@@ -1,11 +1,12 @@
 import json
 import os
 import re
+import signal
 import struct
 
 import pytest
 
-from amf import gradsuite
+from amf import branchworker, gradsuite
 from amf.cli import (
     _eval_line,
     EXIT_CONFIG,
@@ -205,6 +206,19 @@ class TestExitCodes:
                    "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
         assert rc == EXIT_DIVERGED
         assert not (tmp_path / "amf_best.ckpt").exists()
+
+    def test_lost_branch_worker(self, workdir, tmp_path, monkeypatch, capsys):
+        step = branchworker.BranchWorker.step
+
+        def step_then_kill(self, epoch):
+            step(self, epoch)
+            os.kill(self.pid, signal.SIGKILL)
+        monkeypatch.setattr(branchworker, "use_worker", lambda n: True)
+        monkeypatch.setattr(branchworker.BranchWorker, "step", step_then_kill)
+        rc = main(["train", "--config", str(workdir / "run.cfg"),
+                   "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
+        assert rc == EXIT_DIVERGED
+        assert "branch worker lost" in capsys.readouterr().err
 
     def test_dataset_label_out_of_range(self, workdir, tmp_path):
         blob = bytearray((workdir / "data/target.ds").read_bytes())
