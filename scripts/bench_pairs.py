@@ -5,6 +5,8 @@ Usage (each directory is a checkout with its own bench/run.py and src/):
 
     python3 scripts/bench_pairs.py --parent ../parent --change ../change --label pr7 \\
         --run finetune_amf:0:10 --run finetune_amf:7:1 --run finetune_single:0:5
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change --label pr7_experiment \\
+        --experiment 3
 
 Each `--run WORKLOAD:SEED:PAIRS[:TRACE]` asks for PAIRS pairs of
 `python3 bench/run.py --workload WORKLOAD --seed SEED --trace TRACE`, run for
@@ -37,12 +39,23 @@ verdict, in the metric's `better` direction:
               every parent run: the runs spread too widely to tell;
   within      otherwise: no worse than the bound allows.
 
-It exits 1 if any run failed, else 2 if any metric is OUTSIDE its bound,
-else 0.
+With `--experiment PAIRS` it also runs PAIRS pairs of the reference
+experiment (3 seeds, `amf.experiment.run_experiment` at each checkout's
+defaults and the environment as given), alternating the same way. Each run
+records its wall time, its user and system CPU time (the RUSAGE_CHILDREN
+deltas, so they include every process the run forked and reaped) and a
+sha256 of the `repr` of each seed's amf, low and high test `EvalReport`. The
+summary gives each side's quartiles of wall time and of user+system CPU time,
+the pairs the change won on wall time, the ratio of the medians and whether
+every run gave the same digests.
+
+It exits 1 if any run failed or the experiment runs' digests differ, else 2
+if any metric is OUTSIDE its bound, else 0.
 """
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -82,6 +95,57 @@ def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if proc.returncode == 0 and len(lines) >= 2 and lines[-2].startswith("env "):
         return {**usage, "env_line": lines[-2], "result_line": lines[-1]}
     return {**usage, "exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
+
+
+EXPERIMENT = """
+import hashlib, json
+from amf.experiment import ExperimentConfig, run_experiment
+result = run_experiment(ExperimentConfig())
+print(json.dumps({"elapsed_s": result.elapsed_seconds, "digests": {
+    str(r.seed): {name: hashlib.sha256(repr(getattr(r, name)).encode()).hexdigest()
+                  for name in ("amf", "low", "high")} for r in result.per_seed}}))
+"""
+
+
+def experiment_once(checkout: Path) -> dict:
+    """One reference experiment run with the checkout's own `src`: its wall
+    time, user and system CPU time and per-seed report digests, or its exit
+    code and the tail of its stderr."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", EXPERIMENT], cwd=checkout, env=env, capture_output=True, text=True)
+    wall = round(time.perf_counter() - t0, 3)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"wall_s": wall, "user_s": round(after.ru_utime - before.ru_utime, 3),
+             "sys_s": round(after.ru_stime - before.ru_stime, 3)}
+    if proc.returncode == 0:
+        return {**usage, **json.loads(proc.stdout.strip().splitlines()[-1])}
+    return {**usage, "exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
+
+
+def summarize_experiment(runs: list[dict]) -> bool:
+    """Prints each side's wall and user+system CPU quartiles, the pairs the
+    change won on wall time and the ratio of the medians; returns True when
+    every successful run gave the same digests."""
+    pairs: dict[int, dict[str, dict]] = {}
+    for r in runs:
+        if "digests" in r:
+            pairs.setdefault(r["pair"], {})[r["side"]] = r
+    done = [p for p in pairs.values() if len(p) == 2]
+    print(f"experiment, {len(done)} pairs: q1/median/q3 parent -> change")
+    print("  failed runs: " + (", ".join(f"pair {r['pair']} {r['side']} (exit {r['exit_code']})"
+                                         for r in runs if "exit_code" in r) or "none"))
+    same = len({json.dumps(r["digests"], sort_keys=True) for r in runs if "digests" in r}) <= 1
+    print(f"  per-seed EvalReport digests equal in every run: {'yes' if same else 'NO'}")
+    if done:
+        for label, key in (("wall s", lambda r: r["wall_s"]), ("user+sys s", lambda r: r["user_s"] + r["sys_s"])):
+            quart = {side: quartiles(sorted(key(p[side]) for p in done)) for side in ("parent", "change")}
+            print(f"  {label}: " + " -> ".join("/".join(f"{x:.4g}" for x in q) for q in quart.values())
+                  + f", median ratio {quart['change'][1] / quart['parent'][1]:.3f}")
+        won = sum(p["change"]["wall_s"] < p["parent"]["wall_s"] for p in done)
+        print(f"  change faster on wall time in {won}/{len(done)} pairs")
+    return same
 
 
 def within_bound(parent: float, change: float, better: str, bound: float) -> bool:
@@ -184,8 +248,10 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
-    ap.add_argument("--run", type=parse_run, action="append", required=True,
+    ap.add_argument("--run", type=parse_run, action="append", default=[],
                     metavar="WORKLOAD:SEED:PAIRS[:TRACE]")
+    ap.add_argument("--experiment", type=int, default=0, metavar="PAIRS",
+                    help="also run PAIRS pairs of the 3-seed reference experiment")
     ap.add_argument("--about", default="", help="what the pairs compare, stored in the file")
     args = ap.parse_args(argv)
 
@@ -207,9 +273,19 @@ def main(argv=None) -> int:
                     print("\n".join(run["stderr_tail"]), file=sys.stderr, flush=True)
                 else:
                     print(f"{head}: {run['result_line']}", flush=True)
+    for pair in range(args.experiment):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            run = {"workload": "experiment", "pair": pair, "side": side, "git_head": heads[side],
+                   **experiment_once(checkouts[side])}
+            doc["runs"].append(run)
+            out.write_text(json.dumps(doc, indent=1) + "\n")
+            print(f"experiment pair {pair} {side}: "
+                  + (f"FAILED (exit {run['exit_code']})" if "exit_code" in run else f"{run['wall_s']} s"), flush=True)
+    bench_runs = [r for r in doc["runs"] if r["workload"] != "experiment"]
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    all_within = summarize(doc["runs"], spec["end_to_end"])
-    if any("exit_code" in r for r in doc["runs"]):
+    all_within = summarize(bench_runs, spec["end_to_end"]) if bench_runs else True
+    same = summarize_experiment([r for r in doc["runs"] if r["workload"] == "experiment"]) if args.experiment else True
+    if any("exit_code" in r for r in doc["runs"]) or not same:
         return 1
     return 0 if all_within else 2
 

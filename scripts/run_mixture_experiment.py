@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
 """Run the reference mixture experiment and print per-seed and mean results.
 
-Usage: python3 scripts/run_mixture_experiment.py [--seeds 0 1 2] [--json OUT]
+Usage: python3 scripts/run_mixture_experiment.py [--seeds 0 1 2] [--jobs N] [--json OUT]
+
+`--jobs N` runs at most N jobs at once (default one per CPU; 1 runs the seeds
+in turn in this process). At the end it prints the wall time and the CPU time
+of this process and of the processes it forked and reaped, so a slower
+per-job run cannot hide behind the speed-up of running jobs side by side.
 """
 
 import argparse
 import dataclasses
 import json
+import resource
+import time
 
 from amf.experiment import ExperimentConfig, run_experiment
 
@@ -14,10 +21,18 @@ from amf.experiment import ExperimentConfig, run_experiment
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    ap.add_argument("--jobs", type=int, default=None, help="jobs at once (default: one per CPU)")
     ap.add_argument("--json", default=None, help="also dump full results as JSON")
     args = ap.parse_args()
+    if args.jobs is not None and args.jobs < 1:
+        ap.error(f"--jobs must be >= 1, got {args.jobs}")
 
-    result = run_experiment(ExperimentConfig(seeds=tuple(args.seeds)), log=print)
+    start = time.perf_counter()
+    result = run_experiment(ExperimentConfig(seeds=tuple(args.seeds)), log=print, jobs=args.jobs)
+    wall = time.perf_counter() - start
+    own, children = (resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    print(f"wall {wall:.1f} s; user+sys CPU: this process {own.ru_utime + own.ru_stime:.1f} s, "
+          f"children {children.ru_utime + children.ru_stime:.1f} s")
 
     if args.json:
         payload = {

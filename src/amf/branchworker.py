@@ -37,6 +37,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from .autodiff import Tensor
 from .errors import RunError
 from .models import Model
@@ -47,32 +48,27 @@ _REPLY = struct.Struct("<cI")
 _LOST = (EOFError, BrokenPipeError, ConnectionResetError)
 
 
-def blas_threads(cpus: int) -> int:
-    """BLAS threads per process, read the way OpenBLAS reads them at load:
-    ``OPENBLAS_NUM_THREADS``, then ``OMP_NUM_THREADS``, at most ``cpus``;
-    ``cpus`` when neither is a positive integer."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return min(threads, cpus)
-    return cpus
+def worker_threads() -> int:
+    """BLAS threads of each process of a forked run: ``blas.threads()``, at
+    most half the CPUs (at least 1) where ``blas.limit`` can set it, so it is
+    never raised above a count the user lowered."""
+    threads = blas.threads()
+    return min(threads, max(1, blas.cpus() // 2)) if blas.settable() else threads
 
 
 def use_worker(n: int) -> bool:
     """Whether a run of an ``n``-branch model forks a ``BranchWorker``: when
-    n >= 2, ``os.fork`` exists and the CPUs this process may run on hold the
-    BLAS threads of both processes. With fewer, the two processes' spinning
-    BLAS threads share the cores: a 5-epoch ``train`` of the reference amf
-    fine-tune on a 2-core AMD EPYC took 15.3-15.6 s forked against
-    0.62-0.65 s serial at two BLAS threads, and 0.43-0.44 s forked against
-    0.68-0.69 s serial at one."""
+    n >= 2, ``os.fork`` exists and the CPUs this process may run on hold both
+    processes at ``worker_threads()`` BLAS threads each. Where the count can
+    be set at run time, that is whenever there are two CPUs; where it cannot,
+    the CPUs must hold twice the count read at load. With fewer, the two
+    processes' spinning BLAS threads share the cores: a 5-epoch ``train`` of
+    the reference amf fine-tune on a 2-core AMD EPYC took 15.3-15.6 s forked
+    against 0.62-0.65 s serial at two BLAS threads, and 0.43-0.44 s forked
+    against 0.68-0.69 s serial at one."""
     if n < 2 or not hasattr(os, "fork"):
         return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus >= 2 * blas_threads(cpus)
+    return blas.cpus() >= 2 * worker_threads()
 
 
 class BranchWorker:

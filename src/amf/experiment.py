@@ -17,6 +17,8 @@ branch-mode matching, and source val top-1 from pretraining.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +26,7 @@ import numpy as np
 
 from .data import MixtureSpec, gen_mixture, gen_source_task
 from .harness import EvalReport, PretrainConfig, TrainConfig, evaluate, pretrain, train
+from .jobs import Pool
 from .models import load_params_into
 from .optim import ScheduleSpec
 
@@ -87,47 +90,93 @@ class ExperimentResult:
         return self.mean(lambda r: r.amf.assignment_overall)
 
 
-def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
+def _pretrain(config: ExperimentConfig, seed: int) -> tuple[dict[str, np.ndarray], float]:
+    """The seed's pretrained checkpoint and its backbone's source val top-1."""
     spec = replace(config.mixture, seed=seed)
-    target = gen_mixture(spec)
-    source = gen_source_task(spec, config.source_seed_base + seed)
     report: dict = {}
     ckpt = pretrain(PretrainConfig(d=config.d, seed_init=seed, seed_data=seed),
-                    source, report=report)
+                    gen_source_task(spec, config.source_seed_base + seed), report=report)
+    return ckpt, report["backbone_val"]
 
+
+def _runs(config: ExperimentConfig, seed: int) -> dict[str, TrainConfig]:
+    """The seed's three fine-tunes: amf, low and high."""
+    spec = config.mixture
     common = dict(d=config.d, num_classes=spec.num_classes, in_channels=spec.channels,
                   image_hw=spec.image_hw, batch_size=config.batch_size, seed_init=seed, seed_data=seed)
     low = ScheduleSpec(LOW_LR)
-    runs = {
+    return {
         "amf": TrainConfig(arch="amf", n=2, schedules=amf_schedules(), epochs=config.amf_epochs, **common),
         "low": TrainConfig(arch="single", n=1, schedules={"backbone": low, "classifier": low},
                            epochs=config.baseline_epochs, **common),
         "high": TrainConfig(arch="single", n=1, schedules={"backbone": HIGH_LR, "classifier": HIGH_LR},
                             epochs=config.baseline_epochs, **common),
     }
-    reports, traces = {}, {}
-    for name, cfg in runs.items():
-        model, traces[name], best = train(cfg, target, ckpt)
-        load_params_into(model, best)
-        reports[name] = evaluate(model, target.test)
-    epoch0 = list(traces["amf"].records[0].val.mean_h)
 
-    result = SeedResult(seed=seed, source_val=report["backbone_val"], epoch0_mean_h=epoch0, **reports)
+
+def _finetune(cfg: TrainConfig, target, ckpt: dict[str, np.ndarray]) -> tuple[EvalReport, list | None]:
+    """The test report of the run's best-val weights, and its epoch-0 mean h."""
+    model, trace, best = train(cfg, target, ckpt)
+    load_params_into(model, best)
+    return evaluate(model, target.test), trace.records[0].val.mean_h
+
+
+def _seed_result(seed: int, source_val: float, runs: dict, log) -> SeedResult:
+    result = SeedResult(seed=seed, source_val=source_val, epoch0_mean_h=list(runs["amf"][1]),
+                        **{name: report for name, (report, _) in runs.items()})
     if log is not None:
         log(f"seed {seed}: source val {result.source_val:.4f}, "
             f"amf {result.amf.top1_overall:.4f}, low {result.low.top1_overall:.4f}, "
             f"high {result.high.top1_overall:.4f}, "
-            f"epoch-0 h {[round(v, 3) for v in epoch0]}, "
+            f"epoch-0 h {[round(v, 3) for v in result.epoch0_mean_h]}, "
             f"assignment {result.amf.assignment_overall:.4f}")
     return result
 
 
-def run_experiment(config: ExperimentConfig = ExperimentConfig(), log=None) -> ExperimentResult:
+def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
+    """One seed's pretraining and fine-tunes, in turn in this process."""
+    ckpt, source_val = _pretrain(config, seed)
+    target = gen_mixture(replace(config.mixture, seed=seed))
+    runs = {name: _finetune(cfg, target, ckpt) for name, cfg in _runs(config, seed).items()}
+    return _seed_result(seed, source_val, runs, log)
+
+
+def _run_pooled(config: ExperimentConfig, size: int | None, log) -> list[SeedResult]:
+    """Every seed's jobs on one ``Pool``: each pretraining first, then its
+    seed's fine-tunes, forked once its checkpoint is in this process, the
+    longest (most epochs times branches) first."""
+    source_val, runs = {}, [{} for _ in config.seeds]
+    per_seed = [None] * len(config.seeds)
+    with Pool(size) as pool:
+        names = {pool.submit(functools.partial(_pretrain, config, seed), math.inf): (i, "pretrain")
+                 for i, seed in enumerate(config.seeds)}
+        for job_id, out in pool.results():
+            i, name = names.pop(job_id)
+            seed = config.seeds[i]
+            if name == "pretrain":
+                ckpt, source_val[i] = out
+                target = gen_mixture(replace(config.mixture, seed=seed))
+                for run, cfg in _runs(config, seed).items():
+                    names[pool.submit(functools.partial(_finetune, cfg, target, ckpt), cfg.epochs * cfg.n)] = (i, run)
+                continue
+            runs[i][name] = out
+            if len(runs[i]) == 3:
+                per_seed[i] = _seed_result(seed, source_val[i], runs[i], log)
+    return per_seed
+
+
+def run_experiment(config: ExperimentConfig = ExperimentConfig(), log=None,
+                   jobs: int | None = None) -> ExperimentResult:
+    """Every seed of ``config``. With ``jobs=1`` the seeds run in turn in
+    this process; otherwise each pretraining and fine-tune is a job on a
+    ``jobs.Pool`` of ``jobs`` slots (default one per CPU). Both give the same
+    per-seed results to the bit."""
     start = time.perf_counter()
-    result = ExperimentResult()
-    for seed in config.seeds:
-        result.per_seed.append(run_seed(config, seed, log))
-    result.elapsed_seconds = time.perf_counter() - start
+    if jobs == 1:
+        per_seed = [run_seed(config, seed, log) for seed in config.seeds]
+    else:
+        per_seed = _run_pooled(config, jobs, log)
+    result = ExperimentResult(per_seed, time.perf_counter() - start)
     if log is not None:
         log(f"means: amf {result.amf_mean_top1:.4f}, low {result.low_mean_top1:.4f}, "
             f"high {result.high_mean_top1:.4f}, assignment {result.assignment_mean:.4f} "

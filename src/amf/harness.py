@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import branchworker
+from . import blas, branchworker, jobs
 from .autodiff import Tensor
 from .data import MixtureDataset, batches
 from .errors import ConfigError, RunError, UsageError
@@ -194,24 +194,32 @@ def pretrain(config: PretrainConfig, source: MixtureDataset,
     dict with the classification heads stripped (names ``branch1.*`` and
     ``policy.conv.*``). When ``report`` is given, the source val top-1 of
     those weights (each run's last epoch) is stored under ``backbone_val``
-    and ``policy_val``.
+    and ``policy_val``. The two runs are independent jobs of ``jobs.run``:
+    where the CPUs allow, the policy run goes to a forked child while the
+    backbone run proceeds in this process.
     """
-    def run(arch: str, lr: float, seed_data: int) -> tuple[Model, MonitorTrace, dict]:
+    def run(arch: str, lr: float, seed_data: int, prefix: str):
         spec = source.spec
-        return train(TrainConfig(arch=arch, n=1, d=config.d, num_classes=spec.num_classes,
-                                 in_channels=spec.channels, image_hw=spec.image_hw,
-                                 schedules={g: ScheduleSpec(lr) for g in group_prefixes(arch, 1)},
-                                 momentum=config.momentum, batch_size=config.batch_size,
-                                 epochs=config.epochs, seed_init=config.seed_init,
-                                 seed_data=seed_data, layer_scale=None), source)
+        cfg = TrainConfig(arch=arch, n=1, d=config.d, num_classes=spec.num_classes,
+                          in_channels=spec.channels, image_hw=spec.image_hw,
+                          schedules={g: ScheduleSpec(lr) for g in group_prefixes(arch, 1)},
+                          momentum=config.momentum, batch_size=config.batch_size,
+                          epochs=config.epochs, seed_init=config.seed_init,
+                          seed_data=seed_data, layer_scale=None)
 
-    backbone, backbone_trace, _ = run("single", config.backbone_lr, config.seed_data)
-    policy, policy_trace, _ = run("policy_pretrain", config.policy_lr, config.seed_data + 1)
+        def job() -> tuple[dict[str, np.ndarray], float]:
+            model, trace, _ = train(cfg, source)
+            return snapshot(model, prefix), trace.records[-1].val.top1_overall
+        return job
+
+    (backbone, backbone_val), (policy, policy_val) = jobs.run([
+        run("single", config.backbone_lr, config.seed_data, "branch1."),
+        run("policy_pretrain", config.policy_lr, config.seed_data + 1, "policy.conv."),
+    ])
     if report is not None:
-        report["backbone_val"] = backbone_trace.records[-1].val.top1_overall
-        report["policy_val"] = policy_trace.records[-1].val.top1_overall
-
-    return snapshot(backbone, "branch1.") | snapshot(policy, "policy.conv.")
+        report["backbone_val"] = backbone_val
+        report["policy_val"] = policy_val
+    return backbone | policy
 
 
 def train(config: TrainConfig, target: MixtureDataset,
@@ -221,7 +229,9 @@ def train(config: TrainConfig, target: MixtureDataset,
 
     When ``branchworker.use_worker`` allows, a forked ``BranchWorker`` trains
     the upper half of the branches for the whole run and is ended and reaped
-    however the run ends; the results are the same bytes as a serial run's.
+    however the run ends; both processes run at
+    ``branchworker.worker_threads()`` BLAS threads, and the results are the
+    same bytes as a serial run's.
     """
     model = init_model(config.arch, config.seed_init, config.num_classes, config.n,
                        config.d, config.in_channels, config.image_hw)
@@ -233,8 +243,11 @@ def train(config: TrainConfig, target: MixtureDataset,
     trace = MonitorTrace()
     best_params = None
     saturated_epochs = 0
-    worker = branchworker.BranchWorker(model, groups, state) if branchworker.use_worker(model.n) else None
-    with worker or contextlib.nullcontext():
+    with contextlib.ExitStack() as forked:
+        worker = None
+        if branchworker.use_worker(model.n):
+            forked.enter_context(blas.limit(branchworker.worker_threads()))
+            worker = forked.enter_context(branchworker.BranchWorker(model, groups, state))
         local = groups if worker is None else [g for g in groups if g not in worker.groups]
         for epoch in range(config.epochs):
             state.epoch = epoch

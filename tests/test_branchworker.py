@@ -3,7 +3,7 @@ import signal
 
 import pytest
 
-from amf import branchworker, harness
+from amf import blas, branchworker, harness
 from amf.errors import RunError
 from amf.harness import monitor_csv, train
 from amf.models import serialize_params, snapshot
@@ -12,35 +12,88 @@ from amf.optim import ScheduleSpec
 from conftest import TINY_SCHEDULES, tiny_train_config
 
 
+def fake_openblas(monkeypatch, count: int) -> list[int]:
+    """Replaces numpy's OpenBLAS thread count with ``count``; returns the
+    list that holds it, so a test can read what ``blas.limit`` set."""
+    state = [count]
+    monkeypatch.setattr(blas, "_openblas", lambda: (lambda: state[0], lambda k: state.__setitem__(0, k)))
+    return state
+
+
 class TestThreadBudget:
-    @pytest.mark.parametrize("cpus, env, n, forks", [
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 3, True),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, False),  # single and pretraining runs
-        (2, {}, 2, False),  # OpenBLAS takes every CPU
-        (2, {"OMP_NUM_THREADS": "1"}, 2, True),
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
-        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
-        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, True),
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, 2, False),
-        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2, True),
-        (4, {"OPENBLAS_NUM_THREADS": "3"}, 2, False),
-        (4, {"OPENBLAS_NUM_THREADS": "8"}, 2, False),  # capped at 4 CPUs
-        (4, {}, 2, False),
-    ])
-    def test_forks_when_the_cpus_hold_both_processes_blas_threads(self, monkeypatch, cpus, env, n, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+    # cpus, environment, branches; then the threads OpenBLAS reads at load and whether a run forks at them
+    CASES = [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2, 1, True),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 3, 1, True),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1, False),  # single and pretraining runs
+        (2, {}, 2, 2, False),  # OpenBLAS takes every CPU
+        (2, {"OMP_NUM_THREADS": "1"}, 2, 1, True),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 2, False),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 1, True),
+        (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2, 1, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 2, 1, False),
+        (4, {"OPENBLAS_NUM_THREADS": "2"}, 2, 2, True),
+        (4, {"OPENBLAS_NUM_THREADS": "3"}, 2, 3, False),
+        (4, {"OPENBLAS_NUM_THREADS": "8"}, 2, 4, False),  # capped at 4 CPUs
+        (4, {}, 2, 4, False),
+    ]
+
+    @pytest.fixture
+    def machine(self, monkeypatch):
+        def set_up(cpus, env):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+                monkeypatch.delenv(var, raising=False)
+            for var, value in env.items():
+                monkeypatch.setenv(var, value)
+        return set_up
+
+    @pytest.mark.parametrize("cpus, env, n, threads, forks", CASES)
+    def test_without_the_library_forks_when_the_cpus_hold_both_processes_load_threads(
+            self, monkeypatch, machine, cpus, env, n, threads, forks):
+        machine(cpus, env)
+        monkeypatch.setattr(blas, "_openblas", lambda: None)
+        assert blas.threads() == threads
+        assert branchworker.worker_threads() == threads
         assert branchworker.use_worker(n) is forks
+
+    @pytest.mark.parametrize("cpus, env, n, threads, forks", CASES)
+    def test_with_the_library_the_run_time_count_replaces_the_environment(
+            self, monkeypatch, machine, cpus, env, n, threads, forks):
+        # the same machines, with OpenBLAS reporting the count it read at load:
+        # a forked run lowers it to half the CPUs, so every multi-branch run forks on 2 CPUs
+        machine(cpus, env)
+        fake_openblas(monkeypatch, threads)
+        assert blas.threads() == threads
+        assert branchworker.worker_threads() == min(threads, max(1, cpus // 2))
+        assert branchworker.use_worker(n) is (n >= 2 and cpus >= 2)
+
+    @pytest.mark.parametrize("cpus, count, per_process", [(2, 2, 1), (4, 4, 2), (4, 1, 1), (8, 3, 3), (1, 1, 1)])
+    def test_forked_runs_never_raise_the_count(self, monkeypatch, machine, cpus, count, per_process):
+        machine(cpus, {})
+        fake_openblas(monkeypatch, count)
+        assert branchworker.worker_threads() == per_process
 
     def test_no_fork_without_os_fork(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delattr(os, "fork")
         assert not branchworker.use_worker(2)
+
+
+def test_forked_train_runs_at_the_worker_threads_and_restores_the_count(tiny_mixture, monkeypatch):
+    counts = fake_openblas(monkeypatch, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    seen = []
+
+    class Recorded(branchworker.BranchWorker):
+        def step(self, epoch):
+            seen.append(counts[0])
+            super().step(epoch)
+    monkeypatch.setattr(branchworker, "BranchWorker", Recorded)
+    train(tiny_train_config(epochs=1), tiny_mixture)
+    assert seen and set(seen) == {1}
+    assert counts == [2]
 
 
 @pytest.fixture

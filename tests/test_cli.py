@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from amf import branchworker, gradsuite
+from amf import branchworker, gradsuite, harness, jobs
 from amf.cli import (
     _eval_line,
     EXIT_CONFIG,
@@ -219,6 +219,21 @@ class TestExitCodes:
                    "--data", str(workdir / "data/target.ds"), "--out", str(tmp_path)])
         assert rc == EXIT_DIVERGED
         assert "branch worker lost" in capsys.readouterr().err
+
+    def test_lost_pretraining_job(self, workdir, tmp_path, monkeypatch, capsys):
+        train = harness.train
+
+        def killed_policy_run(cfg, *args):
+            if cfg.arch == "policy_pretrain":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train(cfg, *args)
+        monkeypatch.setattr(jobs, "slots", lambda: 2)
+        monkeypatch.setattr(harness, "train", killed_policy_run)
+        rc = main(["pretrain", "--config", str(workdir / "run.cfg"),
+                   "--data", str(workdir / "data/source.ds"), "--out", str(tmp_path)])
+        assert rc == EXIT_DIVERGED
+        assert "job process lost (killed by signal" in capsys.readouterr().err
+        assert not (tmp_path / "pretrained.ckpt").exists()
 
     def test_dataset_label_out_of_range(self, workdir, tmp_path):
         blob = bytearray((workdir / "data/target.ds").read_bytes())

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amf import autodiff as ad
-from amf import harness
+from amf import harness, jobs
 from amf.data import gen_source_task
 from amf.errors import ConfigError, RunError, UsageError
 from amf.harness import (
@@ -22,10 +23,12 @@ from amf.harness import (
     train,
     transfer_map_for,
 )
-from amf.models import AMFModel, MultiTuneModel, SingleModel
+from amf.models import AMFModel, MultiTuneModel, SingleModel, serialize_params
 from amf.optim import ScheduleSpec
 
 from conftest import TINY_SPEC, tiny_train_config
+
+TINY_PRETRAIN = PretrainConfig(epochs=2, batch_size=8, d=8, seed_init=3, seed_data=3)
 
 
 class TestAssignmentAccuracy:
@@ -231,22 +234,46 @@ class TestPretrainTransfer:
         assert 0.0 <= report["policy_val"] <= 1.0
 
     def test_report_reads_the_weights_it_returns(self, monkeypatch):
-        # on this config the policy run's val top-1 falls in its last epoch
+        # on this config the policy run's val top-1 falls in its last epoch;
+        # one pool slot keeps both runs in this process, where the recorder sees them
         runs = []
 
         def recording_train(*args, **kwargs):
             runs.append(train(*args, **kwargs))
             return runs[-1]
 
+        monkeypatch.setattr(jobs, "slots", lambda: 1)
         monkeypatch.setattr(harness, "train", recording_train)
         report = {}
-        ckpt = pretrain(PretrainConfig(epochs=2, batch_size=8, d=8, seed_init=3, seed_data=3),
-                        gen_source_task(TINY_SPEC, seed=1000, k_src=3), report=report)
+        ckpt = pretrain(TINY_PRETRAIN, gen_source_task(TINY_SPEC, seed=1000, k_src=3), report=report)
         (backbone, backbone_trace, _), (policy, policy_trace, _) = runs
         assert report == {"backbone_val": backbone_trace.records[-1].val.top1_overall,
                           "policy_val": policy_trace.records[-1].val.top1_overall}
         for k, v in ckpt.items():
             np.testing.assert_array_equal(v, (backbone if k.startswith("branch1.") else policy).params[k].data)
+
+    def test_pooled_runs_give_the_serial_report_and_checkpoint(self, monkeypatch):
+        source = gen_source_task(TINY_SPEC, seed=1000, k_src=3)
+        outputs, pids = [], []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        for size in (1, 2):
+            monkeypatch.setattr(jobs, "slots", lambda: size)
+            report = {}
+            ckpt = pretrain(TINY_PRETRAIN, source, report=report)
+            outputs.append((report, serialize_params(ckpt)))
+            assert len(pids) == size - 1  # the backbone run stays in this process
+        assert outputs[0] == outputs[1]
+        assert all(type(v) is float for v in outputs[1][0].values())
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_zero_epochs_is_a_config_error(self):
         with pytest.raises(ConfigError, match="epochs"):
