@@ -42,8 +42,8 @@ verdict, in the metric's `better` direction:
 With `--experiment PAIRS` it also runs PAIRS pairs of the reference
 experiment (3 seeds, `amf.experiment.run_experiment` at each checkout's
 defaults and the environment as given), alternating the same way. Each run
-records its wall time, its user and system CPU time (the RUSAGE_CHILDREN
-deltas, so they include every process the run forked and reaped) and a
+records the same wall time, minor page faults and user and system CPU time
+(so they include every process the run forked and reaped) and a
 sha256 of the `repr` of each seed's amf, low and high test `EvalReport`. The
 summary gives each side's quartiles of wall time and of user+system CPU time,
 the pairs the change won on wall time, the ratio of the medians and whether
@@ -77,24 +77,34 @@ def parse_run(spec: str) -> tuple[str, int, int, int]:
     return workload, int(seed), int(pairs), int(trace)
 
 
-def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One bench/run.py run: its wall time, minor page faults and user and
-    system CPU time, and its environment and result lines or, when it fails, its exit
-    code and the tail of its stderr."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", str(trace)]
+def _timed_run(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[dict, subprocess.CompletedProcess]:
+    """Runs `cmd` in `cwd`; returns its wall time, minor page faults and user
+    and system CPU time (the RUSAGE_CHILDREN deltas around it), and the
+    finished process."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
     wall = round(time.perf_counter() - t0, 3)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    usage = {"wall_s": wall, "minflt": after.ru_minflt - before.ru_minflt,
-             "user_s": round(after.ru_utime - before.ru_utime, 3),
-             "sys_s": round(after.ru_stime - before.ru_stime, 3)}
+    return {"wall_s": wall, "minflt": after.ru_minflt - before.ru_minflt,
+            "user_s": round(after.ru_utime - before.ru_utime, 3),
+            "sys_s": round(after.ru_stime - before.ru_stime, 3)}, proc
+
+
+def _failed(proc: subprocess.CompletedProcess) -> dict:
+    """A failed run's exit code and the last 20 lines of its stderr."""
+    return {"exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
+
+
+def bench_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One bench/run.py run: its `_timed_run` usage, and its environment and
+    result lines or, when it fails, its exit code and the tail of its stderr."""
+    usage, proc = _timed_run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+                              "--trace", str(trace)], checkout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and len(lines) >= 2 and lines[-2].startswith("env "):
         return {**usage, "env_line": lines[-2], "result_line": lines[-1]}
-    return {**usage, "exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
+    return {**usage, **_failed(proc)}
 
 
 EXPERIMENT = """
@@ -108,20 +118,14 @@ print(json.dumps({"elapsed_s": result.elapsed_seconds, "digests": {
 
 
 def experiment_once(checkout: Path) -> dict:
-    """One reference experiment run with the checkout's own `src`: its wall
-    time, user and system CPU time and per-seed report digests, or its exit
-    code and the tail of its stderr."""
+    """One reference experiment run with the checkout's own `src`: its
+    `_timed_run` usage and per-seed report digests, or its exit code and the
+    tail of its stderr."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", EXPERIMENT], cwd=checkout, env=env, capture_output=True, text=True)
-    wall = round(time.perf_counter() - t0, 3)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    usage = {"wall_s": wall, "user_s": round(after.ru_utime - before.ru_utime, 3),
-             "sys_s": round(after.ru_stime - before.ru_stime, 3)}
+    usage, proc = _timed_run([sys.executable, "-c", EXPERIMENT], checkout, env)
     if proc.returncode == 0:
         return {**usage, **json.loads(proc.stdout.strip().splitlines()[-1])}
-    return {**usage, "exit_code": proc.returncode, "stderr_tail": proc.stderr.splitlines()[-20:]}
+    return {**usage, **_failed(proc)}
 
 
 def summarize_experiment(runs: list[dict]) -> bool:

@@ -49,7 +49,7 @@ def seed_digests(seed: int, out_dir: str) -> dict[str, str]:
     common = dict(d=D, num_classes=spec.num_classes, in_channels=spec.channels, image_hw=spec.image_hw,
                   batch_size=BATCH, epochs=EPOCHS, seed_init=seed, seed_data=seed)
     low = ScheduleSpec(LOW_LR)
-    # experiment.run_seed's three fine-tunes, written out so that the script
+    # the experiment's three fine-tunes per seed, written out so that the script
     # needs no helper newer than the checkouts it compares
     runs = {
         "amf": TrainConfig(arch="amf", n=2, schedules=amf_schedules(), **common),

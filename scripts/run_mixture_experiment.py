@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the reference mixture experiment and print per-seed and mean results.
 
-Usage: python3 scripts/run_mixture_experiment.py [--seeds 0 1 2] [--jobs N] [--json OUT]
+Usage: python3 scripts/run_mixture_experiment.py [--seeds 0 1 2] [--json OUT]
 
-`--jobs N` runs at most N jobs at once (default one per CPU; 1 runs the seeds
-in turn in this process). At the end it prints the wall time and the CPU time
+Each pretraining and fine-tune is a job on `amf.jobs`'s pool, at most one per
+CPU of the process's affinity (`taskset -c 0 python3 ...` runs every job in
+turn in this process). At the end it prints the wall time and the CPU time
 of this process and of the processes it forked and reaped, so a slower
 per-job run cannot hide behind the speed-up of running jobs side by side.
 """
@@ -21,14 +22,11 @@ from amf.experiment import ExperimentConfig, run_experiment
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--jobs", type=int, default=None, help="jobs at once (default: one per CPU)")
     ap.add_argument("--json", default=None, help="also dump full results as JSON")
     args = ap.parse_args()
-    if args.jobs is not None and args.jobs < 1:
-        ap.error(f"--jobs must be >= 1, got {args.jobs}")
 
     start = time.perf_counter()
-    result = run_experiment(ExperimentConfig(seeds=tuple(args.seeds)), log=print, jobs=args.jobs)
+    result = run_experiment(ExperimentConfig(seeds=tuple(args.seeds)), log=print)
     wall = time.perf_counter() - start
     own, children = (resource.getrusage(who) for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     print(f"wall {wall:.1f} s; user+sys CPU: this process {own.ru_utime + own.ru_stime:.1f} s, "

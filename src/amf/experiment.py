@@ -133,21 +133,13 @@ def _seed_result(seed: int, source_val: float, runs: dict, log) -> SeedResult:
     return result
 
 
-def run_seed(config: ExperimentConfig, seed: int, log=None) -> SeedResult:
-    """One seed's pretraining and fine-tunes, in turn in this process."""
-    ckpt, source_val = _pretrain(config, seed)
-    target = gen_mixture(replace(config.mixture, seed=seed))
-    runs = {name: _finetune(cfg, target, ckpt) for name, cfg in _runs(config, seed).items()}
-    return _seed_result(seed, source_val, runs, log)
-
-
-def _run_pooled(config: ExperimentConfig, size: int | None, log) -> list[SeedResult]:
+def _run_pooled(config: ExperimentConfig, log) -> list[SeedResult]:
     """Every seed's jobs on one ``Pool``: each pretraining first, then its
     seed's fine-tunes, forked once its checkpoint is in this process, the
     longest (most epochs times branches) first."""
     source_val, runs = {}, [{} for _ in config.seeds]
     per_seed = [None] * len(config.seeds)
-    with Pool(size) as pool:
+    with Pool() as pool:
         names = {pool.submit(functools.partial(_pretrain, config, seed), math.inf): (i, "pretrain")
                  for i, seed in enumerate(config.seeds)}
         for job_id, out in pool.results():
@@ -165,17 +157,12 @@ def _run_pooled(config: ExperimentConfig, size: int | None, log) -> list[SeedRes
     return per_seed
 
 
-def run_experiment(config: ExperimentConfig = ExperimentConfig(), log=None,
-                   jobs: int | None = None) -> ExperimentResult:
-    """Every seed of ``config``. With ``jobs=1`` the seeds run in turn in
-    this process; otherwise each pretraining and fine-tune is a job on a
-    ``jobs.Pool`` of ``jobs`` slots (default one per CPU). Both give the same
-    per-seed results to the bit."""
+def run_experiment(config: ExperimentConfig = ExperimentConfig(), log=None) -> ExperimentResult:
+    """Every seed of ``config``, each pretraining and fine-tune a job on a
+    ``jobs.Pool``. The per-seed results are the same bits at any number of
+    slots; with one slot every job runs in this process."""
     start = time.perf_counter()
-    if jobs == 1:
-        per_seed = [run_seed(config, seed, log) for seed in config.seeds]
-    else:
-        per_seed = _run_pooled(config, jobs, log)
+    per_seed = _run_pooled(config, log)
     result = ExperimentResult(per_seed, time.perf_counter() - start)
     if log is not None:
         log(f"means: amf {result.amf_mean_top1:.4f}, low {result.low_mean_top1:.4f}, "

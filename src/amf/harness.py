@@ -195,8 +195,7 @@ def pretrain(config: PretrainConfig, source: MixtureDataset,
     ``policy.conv.*``). When ``report`` is given, the source val top-1 of
     those weights (each run's last epoch) is stored under ``backbone_val``
     and ``policy_val``. The two runs are independent jobs of ``jobs.run``:
-    where the CPUs allow, the policy run goes to a forked child while the
-    backbone run proceeds in this process.
+    where the CPUs allow, each runs in a forked child, side by side.
     """
     def run(arch: str, lr: float, seed_data: int, prefix: str):
         spec = source.spec

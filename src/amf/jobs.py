@@ -6,14 +6,12 @@ while a slot is free, and yields each job's id and result as it ends. Jobs
 submitted while the results are read join the queue, so a job can start once
 the results it needs are in the parent, and it reads them from the memory it
 inherits at the fork. ``run`` is the short form for a fixed list of jobs: it
-returns their results in job order, and runs the first job in the calling
-process on a slot of its own while children run the rest.
+returns their results in job order.
 
 Each job runs in a child forked for it, pinned to its slot's CPUs of the
-parent's affinity and run under ``blas.limit(1)``; ``run``'s first job runs
-pinned and limited the same way. Inside such a job the pool and
-``branchworker.use_worker`` therefore see one CPU and stay serial, so no
-level oversubscribes the cores. The child sends back one message over a
+parent's affinity and run under ``blas.limit(1)``. Inside such a job the
+pool and ``branchworker.use_worker`` therefore see one CPU and stay serial,
+so no level oversubscribes the cores. The child sends back one message over a
 pipe: ``K`` and the pickled result, ``A`` and a pickled ``AMFError``, which
 the parent raises as it is, or ``E`` and the text of any other exception,
 which the parent raises as ``RunError``. A child that exits without a whole
@@ -21,11 +19,11 @@ message (killed, crashed) also raises ``RunError``. Leaving the pool's
 ``with`` block kills and reaps every child still running, however the block
 ends.
 
-A pool of one slot forks nothing: it runs each job in the calling process
-when its result is read, in priority and then submission order. By default
-a pool has one slot per CPU where ``blas.limit`` can set the thread count,
-and one per ``blas.threads()`` CPUs where it cannot, since the children then
-keep the parent's count; without ``os.fork`` it has one.
+A pool has ``slots()`` slots: one per CPU where ``blas.limit`` can set the
+thread count, and one per ``blas.threads()`` CPUs where it cannot, since the
+children then keep the parent's count; without ``os.fork`` it has one. A
+pool of one slot forks nothing: it runs each job in the calling process when
+its result is read, in priority and then submission order.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ def _job_threads() -> int:
 
 
 def slots() -> int:
-    """Jobs a default pool runs at once; see the module docstring."""
+    """Jobs a pool runs at once; see the module docstring."""
     if not hasattr(os, "fork"):
         return 1
     return max(1, blas.cpus() // _job_threads())
@@ -65,12 +63,11 @@ class _Child:
 
 
 class Pool:
-    """Runs submitted jobs in at most ``size`` forked children at once
-    (default ``slots()``), or here when ``size`` is 1; see the module
-    docstring."""
+    """Runs submitted jobs in at most ``slots()`` forked children at once,
+    or here when that is 1; see the module docstring."""
 
-    def __init__(self, size: int | None = None):
-        self.size = slots() if size is None else size
+    def __init__(self):
+        self.size = slots()
         self._queue: list = []  # (-priority, id, job)
         self._ids = itertools.count()
         self._free = list(range(self.size))
@@ -151,36 +148,12 @@ class Pool:
                 return child.job, _result(child.message, code)
 
 
-def run(jobs, size: int | None = None) -> list:
-    """The results of ``jobs`` (at least one) in job order, run on a
-    ``Pool(size)``. The first job runs in this process on a slot of its own,
-    pinned and at one BLAS thread as a child would be, while the pool's
-    children run the rest; its exceptions propagate as in a serial run."""
-    with Pool(size) as pool:
-        ids = [pool.submit(job) for job in jobs[1:]]
-        if pool.size < 2:
-            first = jobs[0]()
-        else:
-            slot = pool._free.pop(0)
-            pool._fill()
-            with _pinned(pool._cpus[slot]), blas.limit(1):
-                first = jobs[0]()
+def run(jobs) -> list:
+    """The results of ``jobs`` in job order, run on a ``Pool``."""
+    with Pool() as pool:
+        ids = [pool.submit(job) for job in jobs]
         done = dict(pool.results())
-    return [first] + [done[i] for i in ids]
-
-
-@contextlib.contextmanager
-def _pinned(cpus: set[int] | None):
-    """Runs the body on ``cpus`` and restores this process's affinity after."""
-    if cpus is None:
-        yield
-        return
-    before = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, cpus)
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, before)
+    return [done[i] for i in ids]
 
 
 def _outcome(job, cpus: set[int] | None) -> bytes:

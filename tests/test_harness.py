@@ -268,7 +268,7 @@ class TestPretrainTransfer:
             report = {}
             ckpt = pretrain(TINY_PRETRAIN, source, report=report)
             outputs.append((report, serialize_params(ckpt)))
-            assert len(pids) == size - 1  # the backbone run stays in this process
+            assert len(pids) == 2 * (size - 1)  # one child per run
         assert outputs[0] == outputs[1]
         assert all(type(v) is float for v in outputs[1][0].values())
         for pid in pids:

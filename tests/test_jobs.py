@@ -46,9 +46,20 @@ REPORT = EvalReport(top1_overall=0.8125, top1_per_mode={0: 0.75, 1: 0.875}, loss
                     branch_matching=(1, 0), mean_h=[0.47020658850669861, 0.5297933220863342])
 
 
-def pooled(*fns, size=2) -> list:
-    """The results of ``fns`` run on a ``Pool(size)``, in the order they end."""
-    with jobs.Pool(size) as pool:
+@pytest.fixture
+def slots(monkeypatch):
+    """Gives this process's pools ``n`` slots (the real rule for ``None``),
+    while the jobs it forks keep the real rule (their pinned CPU gives them one)."""
+    here, real = os.getpid(), jobs.slots
+
+    def force(n):
+        monkeypatch.setattr(jobs, "slots", lambda: n if n and os.getpid() == here else real())
+    return force
+
+
+def pooled(*fns) -> list:
+    """The results of ``fns`` run on a ``Pool``, in the order they end."""
+    with jobs.Pool() as pool:
         for fn in fns:
             pool.submit(fn)
         return [result for _, result in pool.results()]
@@ -59,6 +70,10 @@ def probe():
 
 
 class TestPool:
+    @pytest.fixture(autouse=True)
+    def two_slots(self, slots):
+        slots(2)
+
     def test_results_keep_their_types_and_bits(self, forks):
         params = {"w": np.random.default_rng(0).standard_normal((3, 4)).astype(np.float32),
                   "b": np.arange(3, dtype=np.float64) / 7}
@@ -70,9 +85,10 @@ class TestPool:
             assert back[k].dtype == v.dtype and back[k].tobytes() == v.tobytes()
         assert len(forks) == 3
 
-    def test_one_slot_runs_the_jobs_here_in_priority_then_submission_order(self, forks):
+    def test_one_slot_runs_the_jobs_here_in_priority_then_submission_order(self, forks, slots):
+        slots(1)
         order = []
-        with jobs.Pool(1) as pool:
+        with jobs.Pool() as pool:
             for name, priority in (("a", 0), ("b", 2), ("c", 0), ("d", 2)):
                 pool.submit(lambda name=name: order.append(name) or name, priority)
             assert [r for _, r in pool.results()] == ["b", "d", "a", "c"]
@@ -80,7 +96,7 @@ class TestPool:
         assert not forks
 
     def test_jobs_submitted_while_reading_results_run_too(self, forks):
-        with jobs.Pool(2) as pool:
+        with jobs.Pool() as pool:
             first = pool.submit(lambda: 20)
             seen = {}
             for job_id, result in pool.results():
@@ -97,18 +113,27 @@ class TestPool:
         assert {first[0].pop(), second[0].pop()} == {affinity[0], affinity[1 % len(affinity)]}
         assert first[1:] == second[1:] == (threads, 1, False)
 
-    def test_run_gives_job_order_and_runs_the_first_job_here_like_a_child(self, forks):
-        before = probe()
-        affinity = sorted(before[0])
-        results = jobs.run([probe, probe, lambda: os.getpid(), lambda: 5], size=2)
-        assert results[0] == ({affinity[0]}, 1 if blas.settable() else blas.threads(), 1, False)
-        assert results[1][0] == {affinity[1 % len(affinity)]}
+    def test_run_gives_job_order(self, forks):
+        affinity = sorted(os.sched_getaffinity(0))
+        results = jobs.run([probe, probe, lambda: os.getpid(), lambda: 5])
+        assert {results[0][0].pop(), results[1][0].pop()} == {affinity[0], affinity[1 % len(affinity)]}
         assert results[2] != os.getpid() and results[3] == 5
-        assert probe() == before  # the affinity and the thread count are restored
+        assert len(forks) == 4
+
+    def test_a_freed_slot_starts_the_next_job_while_the_others_run(self, forks, tmp_path):
+        started = tmp_path / "third started"
+
+        def waits_for_the_third():
+            deadline = time.perf_counter() + 20
+            while not started.exists() and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            return started.exists()
+        assert jobs.run([lambda: 1, waits_for_the_third, started.touch]) == [1, True, None]
         assert len(forks) == 3
 
-    def test_run_with_one_slot_forks_nothing(self, forks):
-        assert jobs.run([lambda: 1, lambda: os.getpid()], size=1) == [1, os.getpid()]
+    def test_run_with_one_slot_forks_nothing(self, forks, slots):
+        slots(1)
+        assert jobs.run([lambda: 1, lambda: os.getpid()]) == [1, os.getpid()]
         assert not forks
 
     def test_package_error_keeps_its_class_and_message(self, forks):
@@ -118,8 +143,8 @@ class TestPool:
 
     def test_other_exception_is_a_run_error_with_its_text(self, forks):
         with pytest.raises(RunError, match="job failed: ValueError: boom"):
-            jobs.run([lambda: 1, lambda: _fail(ValueError("boom"))], size=2)
-        assert len(forks) == 1
+            jobs.run([lambda: 1, lambda: _fail(ValueError("boom"))])
+        assert len(forks) == 2
 
     def test_killed_child_is_a_run_error(self, forks):
         with pytest.raises(RunError, match=f"job process lost \\(killed by signal {int(signal.SIGKILL)}\\)"):
@@ -133,40 +158,38 @@ class TestPool:
         assert time.perf_counter() - start < 30
         assert len(forks) == 2
 
-    def test_a_failure_of_the_first_job_reaps_the_others(self, forks):
-        with pytest.raises(KeyError):
-            jobs.run([lambda: _fail(KeyError("here")), lambda: time.sleep(60)], size=2)
-        assert len(forks) == 1
 
-    def test_default_size(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.setattr(blas, "_openblas", lambda: (lambda: 4, lambda k: None))
-        assert jobs.slots() == 4  # children are set to one thread each
-        monkeypatch.setattr(blas, "_openblas", lambda: None)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert jobs.slots() == 2  # children keep the two threads read at load
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        assert jobs.slots() == 1
-        monkeypatch.delattr(os, "fork")
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert jobs.slots() == 1
+def test_slots(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(blas, "_openblas", lambda: (lambda: 4, lambda k: None))
+    assert jobs.slots() == 4  # children are set to one thread each
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert jobs.slots() == 2  # children keep the two threads read at load
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert jobs.slots() == 1
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert jobs.slots() == 1
 
 
 TINY_EXPERIMENT = ExperimentConfig(seeds=(0, 3, 1), d=4, batch_size=8, amf_epochs=3, baseline_epochs=2,
                                    mixture=TINY_SPEC)
 
 
-def test_pooled_experiment_gives_the_serial_results(forks):
-    serial = run_experiment(TINY_EXPERIMENT, jobs=1)
+def test_pooled_experiment_gives_the_serial_results(forks, slots):
+    slots(1)
+    serial = run_experiment(TINY_EXPERIMENT)  # forks only a branch worker, where use_worker allows
     n_serial = len(forks)
+    slots(2)
     lines = []
-    default = run_experiment(TINY_EXPERIMENT, log=lines.append)
-    forced = run_experiment(TINY_EXPERIMENT, jobs=2)
-    for result in (default, forced):
+    forced = run_experiment(TINY_EXPERIMENT, log=lines.append)
+    assert len(forks) - n_serial == 12  # 3 pretrainings and 9 fine-tunes, none forking again
+    slots(None)
+    for result in (forced, run_experiment(TINY_EXPERIMENT)):
         assert [r.seed for r in result.per_seed] == [0, 3, 1]
         for a, b in zip(serial.per_seed, result.per_seed):
             assert repr(a) == repr(b)
             assert a.epoch0_mean_h == b.epoch0_mean_h
-    assert len(forks) - n_serial >= 12  # the forced run's 3 pretrainings and 9 fine-tunes
     assert len(lines) == 4 and lines[-1].startswith("means:")
