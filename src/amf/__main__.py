@@ -1,18 +1,8 @@
-"""`python -m amf` entry point.
+"""`python -m amf` entry point, the same as the ``amf`` console script."""
 
-AMF_THREADS caps internal numpy/BLAS parallelism (default 1, for
-bit-reproducible reductions); it must be applied before numpy loads.
-"""
-
-import os
 import sys
 
-_threads = os.environ.get("AMF_THREADS", "1")
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(var, _threads)
-
-from .cli import main  # noqa: E402  (env vars must be set before numpy imports)
+from .cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

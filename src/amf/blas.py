@@ -68,6 +68,14 @@ def threads() -> int:
     return lib[0]() if lib is not None else env_threads(cpus())
 
 
+def share(k: int) -> int:
+    """The BLAS threads each of ``k`` busy processes gets: ``threads()``, at
+    most the CPUs over ``k`` (at least 1) where ``limit`` can set the count, so
+    a count the user lowered is never raised; ``threads()`` where it cannot."""
+    count = threads()
+    return min(count, max(1, cpus() // k)) if settable() else count
+
+
 @contextlib.contextmanager
 def limit(k: int):
     """Runs the body at ``k`` BLAS threads and restores the previous count

@@ -22,8 +22,8 @@ rows) and a payload:
     P  the worker replies with its parameters, float32, in model order.
 
 Replies are a header ``<cI`` (status, payload length) and the payload:
-status ``K`` carries data, ``E`` the text of the exception that ended the
-worker. The worker exits at EOF on its commands.
+status ``K`` carries data, ``E`` the ``jobs.encode_error`` report of the
+exception that ended the worker. The worker exits at EOF on its commands.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import struct
 import numpy as np
 
 from . import autodiff as ad
-from . import blas
+from . import blas, jobs
 from .autodiff import Tensor
 from .errors import RunError
 from .models import Model
@@ -49,26 +49,19 @@ _LOST = (EOFError, BrokenPipeError, ConnectionResetError)
 
 
 def worker_threads() -> int:
-    """BLAS threads of each process of a forked run: ``blas.threads()``, at
-    most half the CPUs (at least 1) where ``blas.limit`` can set it, so it is
-    never raised above a count the user lowered."""
-    threads = blas.threads()
-    return min(threads, max(1, blas.cpus() // 2)) if blas.settable() else threads
+    """BLAS threads of each process of a forked run: ``blas.share(2)``."""
+    return blas.share(2)
 
 
 def use_worker(n: int) -> bool:
     """Whether a run of an ``n``-branch model forks a ``BranchWorker``: when
-    n >= 2, ``os.fork`` exists and the CPUs this process may run on hold both
-    processes at ``worker_threads()`` BLAS threads each. Where the count can
-    be set at run time, that is whenever there are two CPUs; where it cannot,
-    the CPUs must hold twice the count read at load. With fewer, the two
-    processes' spinning BLAS threads share the cores: a 5-epoch ``train`` of
-    the reference amf fine-tune on a 2-core AMD EPYC took 15.3-15.6 s forked
-    against 0.62-0.65 s serial at two BLAS threads, and 0.43-0.44 s forked
-    against 0.68-0.69 s serial at one."""
-    if n < 2 or not hasattr(os, "fork"):
-        return False
-    return blas.cpus() >= 2 * worker_threads()
+    n >= 2 and a ``jobs.Pool`` would run two jobs at once, so that the CPUs
+    hold both processes at ``worker_threads()`` BLAS threads each. With fewer,
+    the two processes' spinning BLAS threads share the cores: a 5-epoch
+    ``train`` of the reference amf fine-tune on a 2-core AMD EPYC took
+    15.3-15.6 s forked against 0.62-0.65 s serial at two BLAS threads, and
+    0.43-0.44 s forked against 0.68-0.69 s serial at one."""
+    return n >= 2 and jobs.slots() >= 2
 
 
 class BranchWorker:
@@ -76,8 +69,8 @@ class BranchWorker:
     module docstring. Build it after the model's groups and optimizer state,
     which the child takes over for its branches, and use it as a context
     manager: leaving the ``with`` block ends and reaps the child, however the
-    block ends. Any loss of the child, or an exception in it, raises
-    ``RunError`` in the parent.
+    block ends. A package error in the child is raised in the parent with its
+    own class; any other exception in it, or its loss, raises ``RunError``.
     """
 
     def __init__(self, model: Model, groups: list[ParamGroup], state: OptimizerState):
@@ -162,7 +155,7 @@ class BranchWorker:
         except _LOST as e:
             raise RunError(f"branch worker lost ({type(e).__name__})") from None
         if status == b"E":
-            raise RunError(f"branch worker failed: {payload.decode(errors='replace')}")
+            raise jobs.decode_error(payload, "branch worker")
         return payload
 
     # -- worker side --------------------------------------------------------
@@ -190,7 +183,7 @@ class BranchWorker:
                 elif command == b"P":
                     _send(replies, b"K", b"".join(model.params[k].data.tobytes() for k in self._names))
             except Exception as e:
-                _send(replies, b"E", f"{type(e).__name__}: {e}".encode())
+                _send(replies, b"E", jobs.encode_error(e))
                 return 1
         return 0
 

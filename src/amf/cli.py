@@ -3,8 +3,9 @@
 Commands: gen-data, pretrain, train, eval, grad-check.
 Exit codes: 0 success; 1 grad-check failure; 2 bad config or argument;
 3 I/O error; 4 corrupt checkpoint or dataset file, or architecture/checkpoint
-mismatch; 5 non-finite training or validation loss, or a lost or failed
-branch worker or job process; 6 data value out of contract (DataError);
+mismatch; 5 non-finite training or validation loss, a lost branch worker or
+job process, or one that fails with a non-package error (a package error in
+either keeps its own code); 6 data value out of contract (DataError);
 7 invalid tensor shape (ShapeError); 8 API misuse (UsageError).
 """
 

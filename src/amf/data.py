@@ -94,6 +94,8 @@ class MixtureSpec:
             raise ConfigError("need at least one channel")
         if self.noise_a < 0 or self.noise_b < 0:
             raise ConfigError("noise std must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), the dataset file's u64 field, got {self.seed}")
         for name in ("noise_a", "noise_b"):
             v = getattr(self, name)
             if _decode_noise(v) != v:

@@ -133,10 +133,13 @@ def _seed_result(seed: int, source_val: float, runs: dict, log) -> SeedResult:
     return result
 
 
-def _run_pooled(config: ExperimentConfig, log) -> list[SeedResult]:
-    """Every seed's jobs on one ``Pool``: each pretraining first, then its
-    seed's fine-tunes, forked once its checkpoint is in this process, the
-    longest (most epochs times branches) first."""
+def run_experiment(config: ExperimentConfig = ExperimentConfig(), log=None) -> ExperimentResult:
+    """Every seed of ``config``, each pretraining and fine-tune a job on one
+    ``jobs.Pool``: each pretraining first, then its seed's fine-tunes, forked
+    once its checkpoint is in this process, the longest (most epochs times
+    branches) first. The per-seed results are the same bits at any number of
+    slots; with one slot every job runs in this process."""
+    start = time.perf_counter()
     source_val, runs = {}, [{} for _ in config.seeds]
     per_seed = [None] * len(config.seeds)
     with Pool() as pool:
@@ -154,15 +157,6 @@ def _run_pooled(config: ExperimentConfig, log) -> list[SeedResult]:
             runs[i][name] = out
             if len(runs[i]) == 3:
                 per_seed[i] = _seed_result(seed, source_val[i], runs[i], log)
-    return per_seed
-
-
-def run_experiment(config: ExperimentConfig = ExperimentConfig(), log=None) -> ExperimentResult:
-    """Every seed of ``config``, each pretraining and fine-tune a job on a
-    ``jobs.Pool``. The per-seed results are the same bits at any number of
-    slots; with one slot every job runs in this process."""
-    start = time.perf_counter()
-    per_seed = _run_pooled(config, log)
     result = ExperimentResult(per_seed, time.perf_counter() - start)
     if log is not None:
         log(f"means: amf {result.amf_mean_top1:.4f}, low {result.low_mean_top1:.4f}, "

@@ -12,18 +12,18 @@ Each job runs in a child forked for it, pinned to its slot's CPUs of the
 parent's affinity and run under ``blas.limit(1)``. Inside such a job the
 pool and ``branchworker.use_worker`` therefore see one CPU and stay serial,
 so no level oversubscribes the cores. The child sends back one message over a
-pipe: ``K`` and the pickled result, ``A`` and a pickled ``AMFError``, which
-the parent raises as it is, or ``E`` and the text of any other exception,
-which the parent raises as ``RunError``. A child that exits without a whole
-message (killed, crashed) also raises ``RunError``. Leaving the pool's
-``with`` block kills and reaps every child still running, however the block
-ends.
+pipe: ``K`` and the pickled result, or its error as ``encode_error`` writes
+it, which the parent raises as ``decode_error`` reads it. A child that exits
+without a whole message (killed, crashed) raises ``RunError``. Leaving the
+pool's ``with`` block kills and reaps every child still running, however the
+block ends.
 
-A pool has ``slots()`` slots: one per CPU where ``blas.limit`` can set the
-thread count, and one per ``blas.threads()`` CPUs where it cannot, since the
-children then keep the parent's count; without ``os.fork`` it has one. A
-pool of one slot forks nothing: it runs each job in the calling process when
-its result is read, in priority and then submission order.
+A pool has ``slots()`` slots: as many processes as the CPUs hold at
+``blas.share`` threads each, that is one per CPU where ``blas.limit`` can set
+the thread count and one per ``blas.threads()`` CPUs where it cannot; without
+``os.fork`` it has one. A pool of one slot forks nothing: it runs each job in
+the calling process when its result is read, in priority and then submission
+order.
 """
 
 from __future__ import annotations
@@ -41,17 +41,11 @@ from . import blas
 from .errors import AMFError, RunError
 
 
-def _job_threads() -> int:
-    """BLAS threads a job runs at: one where ``blas.limit`` can set the
-    count, the parent's where it cannot."""
-    return 1 if blas.settable() else blas.threads()
-
-
 def slots() -> int:
     """Jobs a pool runs at once; see the module docstring."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, blas.cpus() // _job_threads())
+    return max(1, blas.cpus() // blas.share(blas.cpus()))
 
 
 @dataclass
@@ -73,7 +67,7 @@ class Pool:
         self._free = list(range(self.size))
         self._running: dict[int, _Child] = {}  # read end of the child's pipe -> child
         affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-        width = _job_threads()
+        width = blas.share(blas.cpus())
         self._cpus = [{affinity[(s * width + j) % len(affinity)] for j in range(width)} if affinity else None
                       for s in range(self.size)]
 
@@ -163,21 +157,31 @@ def _outcome(job, cpus: set[int] | None) -> bytes:
             os.sched_setaffinity(0, cpus)
         with blas.limit(1):
             return b"K" + pickle.dumps(job(), pickle.HIGHEST_PROTOCOL)
-    except AMFError as e:
-        with contextlib.suppress(Exception):
-            return b"A" + pickle.dumps(e, pickle.HIGHEST_PROTOCOL)
-        return f"E{type(e).__name__}: {e}".encode()
     except Exception as e:
-        return f"E{type(e).__name__}: {e}".encode()
+        return encode_error(e)
 
 
 def _result(message: bytearray, code: int):
     if code != 0 or not message:
         how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
         raise RunError(f"job process lost ({how})")
-    status, payload = message[:1], message[1:]
-    if status == b"K":
-        return pickle.loads(payload)
-    if status == b"A":
-        raise pickle.loads(payload)
-    raise RunError(f"job failed: {payload.decode(errors='replace')}")
+    if message[:1] == b"K":
+        return pickle.loads(message[1:])
+    raise decode_error(message, "job")
+
+
+def encode_error(e: Exception) -> bytes:
+    """A forked child's report of the error that ended its work: ``A`` and the
+    pickled error for an ``AMFError``, else ``E``, its type and its text."""
+    if isinstance(e, AMFError):
+        with contextlib.suppress(Exception):
+            return b"A" + pickle.dumps(e, pickle.HIGHEST_PROTOCOL)
+    return f"E{type(e).__name__}: {e}".encode()
+
+
+def decode_error(report: bytes, label: str) -> AMFError:
+    """The error an ``encode_error`` report names, for the parent to raise: the
+    ``AMFError`` with its own class, any other as ``RunError("<label> failed: Type: text")``."""
+    if report[:1] == b"A":
+        return pickle.loads(report[1:])
+    return RunError(f"{label} failed: {report[1:].decode(errors='replace')}")

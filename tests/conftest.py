@@ -1,5 +1,6 @@
 import pytest
 
+from amf import blas
 from amf.data import MixtureSpec, gen_mixture
 from amf.harness import TrainConfig, train
 from amf.optim import ScheduleSpec
@@ -13,6 +14,14 @@ TINY_SCHEDULES = {
     "classifier": ScheduleSpec(0.01),
     "policy": ScheduleSpec(0.001),
 }
+
+
+def fake_openblas(monkeypatch, count: int) -> list[int]:
+    """Replaces numpy's OpenBLAS thread count with ``count``; returns the
+    list that holds it, so a test can read what ``blas.limit`` set."""
+    state = [count]
+    monkeypatch.setattr(blas, "_openblas", lambda: (lambda: state[0], lambda k: state.__setitem__(0, k)))
+    return state
 
 
 def tiny_train_config(**overrides) -> TrainConfig:

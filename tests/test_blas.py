@@ -5,6 +5,8 @@ import pytest
 
 from amf import blas
 
+from conftest import fake_openblas
+
 
 @pytest.fixture
 def two_cpus_one_env_thread(monkeypatch):
@@ -43,8 +45,7 @@ class TestWithoutTheLibrary:
 
 class TestLimit:
     def test_restores_the_count_after_an_exception(self, monkeypatch):
-        count = [3]
-        monkeypatch.setattr(blas, "_openblas", lambda: (lambda: count[0], lambda k: count.__setitem__(0, k)))
+        count = fake_openblas(monkeypatch, 3)
         with pytest.raises(ValueError):
             with blas.limit(1):
                 assert blas.threads() == 1

@@ -4,20 +4,12 @@ import signal
 import pytest
 
 from amf import blas, branchworker, harness
-from amf.errors import RunError
+from amf.errors import ConfigError, RunError
 from amf.harness import monitor_csv, train
 from amf.models import serialize_params, snapshot
 from amf.optim import ScheduleSpec
 
-from conftest import TINY_SCHEDULES, tiny_train_config
-
-
-def fake_openblas(monkeypatch, count: int) -> list[int]:
-    """Replaces numpy's OpenBLAS thread count with ``count``; returns the
-    list that holds it, so a test can read what ``blas.limit`` set."""
-    state = [count]
-    monkeypatch.setattr(blas, "_openblas", lambda: (lambda: state[0], lambda k: state.__setitem__(0, k)))
-    return state
+from conftest import TINY_SCHEDULES, fake_openblas, tiny_train_config
 
 
 class TestThreadBudget:
@@ -155,6 +147,15 @@ def test_exception_in_the_worker_is_a_run_error(tiny_mixture, monkeypatch, worke
         raise ValueError("boom")
     monkeypatch.setattr(branchworker, "sgd_step", failing)  # the worker's binding only
     with pytest.raises(RunError, match="ValueError: boom"):
+        train(tiny_train_config(), tiny_mixture)
+    assert len(workers) == 1
+
+
+def test_package_error_in_the_worker_keeps_its_class_and_message(tiny_mixture, monkeypatch, workers):
+    def failing(*args):
+        raise ConfigError("group branch2 has no rate")
+    monkeypatch.setattr(branchworker, "sgd_step", failing)  # the worker's binding only
+    with pytest.raises(ConfigError, match="^group branch2 has no rate$"):
         train(tiny_train_config(), tiny_mixture)
     assert len(workers) == 1
 

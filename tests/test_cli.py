@@ -164,6 +164,18 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
 
+    # a dataset file stores the seed as u64, so a larger one fails before any generation
+    @pytest.mark.parametrize("config, args", [(CONFIG, ["--seed", str(2**64)]),
+                                              (CONFIG.replace("data.seed = 0", f"data.seed = {2**64}"), []),
+                                              (CONFIG + f"data.source_seed = {2**64}\n", [])],
+                             ids=["--seed", "data.seed", "data.source_seed"])
+    def test_seed_outside_the_dataset_files_u64(self, tmp_path, config, args):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out), *args]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_data_file(self, workdir, tmp_path):
         rc = main(["train", "--config", str(workdir / "run.cfg"),
                    "--data", str(tmp_path / "nope.ds"), "--out", str(tmp_path)])

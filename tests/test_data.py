@@ -93,6 +93,9 @@ class TestMixture:
             MixtureSpec(noise_a=-0.1)
         with pytest.raises(ConfigError):
             MixtureSpec(channels=0)
+        for seed in (2**64, -1):  # a dataset file stores the seed as u64
+            with pytest.raises(ConfigError, match="seed"):
+                MixtureSpec(seed=seed)
 
     # a dataset file stores noise as f32; a spec it could not restore is rejected
     @pytest.mark.parametrize("field", ["noise_a", "noise_b"])

@@ -10,7 +10,7 @@ from amf.errors import ConfigError, RunError
 from amf.experiment import ExperimentConfig, run_experiment
 from amf.harness import EvalReport
 
-from conftest import TINY_SPEC
+from conftest import TINY_SPEC, fake_openblas
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ class TestPool:
 
 def test_slots(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(blas, "_openblas", lambda: (lambda: 4, lambda k: None))
+    fake_openblas(monkeypatch, 4)
     assert jobs.slots() == 4  # children are set to one thread each
     monkeypatch.setattr(blas, "_openblas", lambda: None)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
